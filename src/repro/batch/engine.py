@@ -8,10 +8,12 @@ the Python-level round loop once per seed.  :class:`BatchedEngine` amortises
 that loop across the whole cell:
 
 * the states of ``R`` replicas live in one ``(R, n)`` int array;
-* the beep masks of all replicas are one boolean gather, and "who hears a
-  beep" is one sparse matrix product against the ``(n, R)`` stacked beep
-  columns (the adjacency matrix is symmetric, so the transpose trick costs
-  nothing);
+* the beep masks of all replicas are one gather, and "who hears a beep" is
+  one product of the adjacency (float32 CSR, or dense on small or dense
+  graphs — see :func:`dense_adjacency_preferred`) with the contiguous
+  ``(n, R)`` replica beep columns;
+* each transition is two lookups in the compiled protocol's flat tables
+  (``prob_by_code`` then ``next_by_code``);
 * every probabilistic transition of the round is resolved by one ``(R, n)``
   uniform block, filled row by row from per-replica generator streams so
   that each replica consumes exactly the randomness its standalone run
@@ -63,29 +65,46 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.topology import Topology
 
 
-def dense_adjacency_preferred(
-    n: int, nnz: int, byte_budget: int = 4 << 20
-) -> bool:
-    """Whether a graph's hear-mask should use a dense float32 adjacency.
+def dense_adjacency_preferred(n: int, nnz: int) -> bool:
+    """Whether a graph's hear mask should use a dense float32 adjacency.
 
-    The explicit crossover rule behind ``_adjacency_for``:
-
-    * **byte budget** — a dense float32 copy costing at most
-      ``byte_budget`` bytes (default 4 MiB, i.e. every graph up to 1024
-      nodes) is always worth it: one BLAS matmul replaces ~25 µs of scipy
-      dispatch per round, which dominates once the batch tail is thin;
-    * **density rule** — above the budget, densify only when the dense
-      copy is no larger than the CSR form it replaces (float64 data +
-      int32 indices per edge slot, int32 row pointers), i.e. when the
-      graph is so dense that CSR stops saving memory — near-clique graphs
-      stay matmul-friendly at any size, while a million-node cycle stays
-      CSR.
+    The explicit crossover rule behind :func:`hear_adjacency`, on graph
+    properties only: dense iff ``n <= 64`` (one small BLAS call beats the
+    sparse product's per-call dispatch) or ``n**2 <= 16 * nnz`` (mean degree
+    at least ``n / 16``, where the dense product does little wasted work).
+    Everything else — tori, cycles, grids, sparse random graphs of any
+    size — multiplies a float32 CSR matrix into contiguous replica
+    columns, which costs O(nnz * R) instead of O(n**2 * R) and keeps BLAS
+    threads off the round loop.  The README's "Dense crossover" grid
+    records the measurements behind the two thresholds.
     """
-    dense_bytes = 4 * n * n
-    if dense_bytes <= byte_budget:
-        return True
-    csr_bytes = 12 * nnz + 4 * (n + 1)
-    return dense_bytes <= csr_bytes
+    return n <= 64 or n * n <= 16 * nnz
+
+
+def hear_adjacency(sparse_adjacency):
+    """A graph's hear-mask operand: a dense float32 array or a float32 CSR.
+
+    Built once per graph (the engines keep it, schedules keep it in the
+    swap cache) so :func:`hear_mask` never converts per round.
+    """
+    if dense_adjacency_preferred(sparse_adjacency.shape[0], sparse_adjacency.nnz):
+        return sparse_adjacency.toarray().astype(np.float32)
+    return sparse_adjacency.astype(np.float32)
+
+
+def hear_mask(beep_columns: np.ndarray, adjacency) -> np.ndarray:
+    """Who hears a beep, for every replica column at once.
+
+    ``beep_columns`` is the ``(n, R)`` float32 beep indicator (one column
+    per replica, ideally C-contiguous) and ``adjacency`` an operand from
+    :func:`hear_adjacency`.  A node hears when it beeps itself or any
+    neighbour beeps; the adjacency is symmetric, so one product counts
+    every replica's beeping neighbours — exactly, since float32 holds
+    integers far beyond any degree.  Returns the ``(n, R)`` boolean mask.
+    """
+    if not beep_columns.any():
+        return beep_columns > 0
+    return (beep_columns + adjacency @ beep_columns) > 0
 
 
 class BatchedEngine:
@@ -102,12 +121,13 @@ class BatchedEngine:
         Optional :class:`~repro.dynamics.schedules.TopologySchedule`.  The
         adjacency used in round ``r`` is that of ``schedule.topology_at(r)``,
         swapped once per round for the whole batch — one rebuild serves all
-        ``R`` replicas, and distinct graphs are compiled to dense/CSR form
-        exactly once (schedules deduplicate revisited edge sets).  A static
-        schedule reproduces the scheduleless run bit for bit.  State-aware
-        schedules (whose graphs depend on the replica's states) are only
-        accepted for single-replica batches, because all replicas of a batch
-        share one adjacency per round by construction.
+        ``R`` replicas, and distinct graphs are compiled to their hear-mask
+        operand (:func:`hear_adjacency`) exactly once (schedules deduplicate
+        revisited edge sets).  A static schedule reproduces the
+        scheduleless run bit for bit.  State-aware schedules (whose graphs
+        depend on the replica's states) are only accepted for
+        single-replica batches, because all replicas of a batch share one
+        adjacency per round by construction.
     kernel:
         Round-kernel spec resolved through
         :func:`repro.batch.kernels.resolve_kernel`: ``"auto"`` (default,
@@ -122,20 +142,13 @@ class BatchedEngine:
         what each run actually used.
     """
 
-    #: Byte budget for an always-densified adjacency (the crossover
-    #: heuristic's first rule; 4 MiB keeps every graph up to 1024 nodes
-    #: dense, the historical behaviour).  Above it, a graph densifies
-    #: only when the dense copy beats CSR on bytes — see
-    #: :func:`dense_adjacency_preferred`.
-    DENSE_ADJACENCY_BYTES = 4 << 20
-
     #: Memory cap (bytes) for the prefetched per-replica uniform blocks
     #: (the block depth itself comes from
     #: :func:`repro.batch.streams.prefetch_depth`, the single source of
     #: truth shared with the fused kernels).
     RNG_BUFFER_BYTES = DEFAULT_RNG_BUFFER_BYTES
 
-    #: Maximum number of schedule graphs whose compiled (sparse, dense)
+    #: Maximum number of schedule graphs whose compiled hear-mask
     #: adjacencies are kept alive.  Schedules deduplicate revisited edge
     #: sets, so periodic scenarios fit entirely; pure random churn cycles
     #: through the cache, paying one recompilation per round — the same
@@ -143,9 +156,9 @@ class BatchedEngine:
     #: n x n float32 copy per round for the engine's lifetime.
     SWAP_CACHE_LIMIT = 64
 
-    #: Byte budget for the cached dense adjacencies; on dense-eligible
-    #: graphs near the ``DENSE_ADJACENCY_BYTES`` budget (4 MB per float32
-    #: copy) this, not the entry count, is the binding bound.
+    #: Byte budget for the cached dense adjacencies; on large dense
+    #: graphs (4 n**2 bytes per float32 copy) this, not the entry count,
+    #: is the binding bound.
     SWAP_CACHE_BYTES = 64 << 20
 
     def __init__(
@@ -173,72 +186,65 @@ class BatchedEngine:
             self._adjacency = schedule.topology_at(0).sparse_adjacency()
             schedule = None
         self._schedule = schedule
-        # A float32 matmul counts beeping neighbours exactly (degrees are far
-        # below 2**24); on small graphs it avoids ~25 µs of scipy dispatch
-        # overhead per round, which dominates once the batch tail is thin.
-        self._dense_adjacency: Optional[np.ndarray] = None
-        # Plain-int adjacency-representation counters: how many distinct
-        # graphs this engine compiled to each form (sampled as the
-        # engine.adjacency_dense gauge once per run).
+        # The hear-mask operand (dense float32 or float32 CSR, see
+        # dense_adjacency_preferred) and plain-int representation
+        # counters: how many distinct graphs this engine compiled to each
+        # form (sampled as the engine.adjacency_dense gauge once per run).
+        self._hear_adjacency = hear_adjacency(self._adjacency)
         self._adjacency_dense_builds = 0
         self._adjacency_csr_builds = 0
-        if dense_adjacency_preferred(
-            topology.n, self._adjacency.nnz, self.DENSE_ADJACENCY_BYTES
-        ):
-            self._dense_adjacency = (
-                self._adjacency.toarray().astype(np.float32)
-            )
-            self._adjacency_dense_builds += 1
-        else:
-            self._adjacency_csr_builds += 1
+        self._count_build(self._hear_adjacency)
         # Batch-local table copies tuned for the hot loop: intp-typed
         # successor tables make every gather conversion-free (numpy converts
         # non-intp index arrays on each fancy-indexing call), and a float32
-        # beep lookup feeds the matmul without a per-round astype.
+        # beep lookup feeds the hear product without a per-round astype.
         compiled = self._compiled
         self._succ_primary_ip = compiled.succ_primary.astype(np.intp)
         self._succ_secondary_ip = compiled.succ_secondary.astype(np.intp)
+        self._next_by_code_ip = compiled.next_by_code.astype(np.intp)
         self._beep_f32 = compiled.is_beeping.astype(np.float32)
         # Swap cache for dynamic topologies: schedule graphs are deduplicated
-        # objects, so one dense/CSR compilation per distinct graph serves
-        # every later round (and every replica) that revisits it.  Bounded
-        # LRU (entry count and dense-adjacency bytes): entries hold a
-        # reference to their topology, so a live id key can never be
+        # objects, so one hear-adjacency compilation per distinct graph
+        # serves every later round (and every replica) that revisits it.
+        # Bounded LRU (entry count and dense-adjacency bytes): entries hold
+        # a reference to their topology, so a live id key can never be
         # recycled by the allocator.
-        dense_bytes = 4 * topology.n * topology.n if self._dense_adjacency is not None else 1
+        dense_bytes = (
+            4 * topology.n * topology.n
+            if isinstance(self._hear_adjacency, np.ndarray)
+            else 1
+        )
         self._swap_cache_limit = max(
             2, min(self.SWAP_CACHE_LIMIT, self.SWAP_CACHE_BYTES // dense_bytes)
         )
-        self._swap_cache: "OrderedDict[int, Tuple[Topology, object, Optional[np.ndarray]]]" = OrderedDict(
-            [(id(topology), (topology, self._adjacency, self._dense_adjacency))]
+        self._swap_cache: "OrderedDict[int, Tuple[Topology, object]]" = OrderedDict(
+            [(id(topology), (topology, self._hear_adjacency))]
         )
         # Plain-int swap-cache counters, sampled once per run by the
         # telemetry layer; per-round cost is one integer increment.
         self._swap_cache_hits = 0
         self._swap_cache_misses = 0
 
+    def _count_build(self, adjacency) -> None:
+        if isinstance(adjacency, np.ndarray):
+            self._adjacency_dense_builds += 1
+        else:
+            self._adjacency_csr_builds += 1
+
     def _adjacency_for(self, topology: Topology):
-        """Sparse and (optionally) dense adjacency of a schedule graph, memoised."""
+        """The hear-mask adjacency of a schedule graph, memoised."""
         entry = self._swap_cache.get(id(topology))
         if entry is None:
             self._swap_cache_misses += 1
-            sparse_adjacency = topology.sparse_adjacency()
-            dense = None
-            if dense_adjacency_preferred(
-                topology.n, sparse_adjacency.nnz, self.DENSE_ADJACENCY_BYTES
-            ):
-                dense = sparse_adjacency.toarray().astype(np.float32)
-                self._adjacency_dense_builds += 1
-            else:
-                self._adjacency_csr_builds += 1
-            entry = (topology, sparse_adjacency, dense)
+            entry = (topology, hear_adjacency(topology.sparse_adjacency()))
+            self._count_build(entry[1])
             self._swap_cache[id(topology)] = entry
             if len(self._swap_cache) > self._swap_cache_limit:
                 self._swap_cache.popitem(last=False)
         else:
             self._swap_cache_hits += 1
             self._swap_cache.move_to_end(id(topology))
-        return entry[1], entry[2]
+        return entry[1]
 
     def _cache_stats(self) -> dict:
         stats = {
@@ -375,13 +381,15 @@ class BatchedEngine:
                 pipeline.notify_retire(np.flatnonzero(retire_now), 0)
         active = np.flatnonzero(active_mask)
 
-        dense = self._dense_adjacency
-        sparse_adjacency = self._adjacency
+        adjacency = self._hear_adjacency
+        dense = adjacency if isinstance(adjacency, np.ndarray) else None
         beep_f32 = self._beep_f32
         is_leader = compiled.is_leader
         succ_primary = self._succ_primary_ip
         succ_secondary = self._succ_secondary_ip
         primary_probability = compiled.primary_probability
+        prob_by_code = compiled.prob_by_code
+        next_by_code = self._next_by_code_ip
 
         # In-flight heartbeat: looked up once per run; None costs a single
         # is-not-None check per round, and beats never touch the replica
@@ -421,8 +429,8 @@ class BatchedEngine:
             # (the interpreted loop rebinds `states` instead — same values).
             if not states.flags.writeable or not states.flags.c_contiguous:
                 states = np.ascontiguousarray(states)
-            indptr = np.ascontiguousarray(sparse_adjacency.indptr)
-            indices = np.ascontiguousarray(sparse_adjacency.indices)
+            indptr = np.ascontiguousarray(self._adjacency.indptr)
+            indices = np.ascontiguousarray(self._adjacency.indices)
             record = count_rows is not None
             count_block = np.zeros(
                 (depth if record else 0, num_replicas), dtype=np.int64
@@ -499,24 +507,19 @@ class BatchedEngine:
                         f"schedule changed the node count to {topology.n} in "
                         f"round {round_index}; expected {n}"
                     )
-                sparse_adjacency, dense = self._adjacency_for(topology)
-            beeping = beep_f32[sub]
-            if beeping.any():
-                # One product for the whole batch: the adjacency is
-                # symmetric, so row r of the stacked result is exactly what
-                # replica r's standalone run computes.  float32 counts the
-                # beeping neighbours exactly (degrees are far below 2**24).
-                if dense is not None:
-                    heard = (beeping + np.matmul(beeping, dense)) > 0
-                else:
-                    heard = (beeping + sparse_adjacency.dot(beeping.T).T) > 0
-            else:
-                heard = beeping > 0
-            heard_index = heard.astype(np.intp)
-
-            primary = succ_primary[sub, heard_index]
-            secondary = succ_secondary[sub, heard_index]
-            probability = primary_probability[sub, heard_index]
+                adjacency = self._adjacency_for(topology)
+            # One product for the whole batch over contiguous replica
+            # columns: column r of the result is exactly what replica r's
+            # standalone run computes.
+            heard = hear_mask(
+                np.ascontiguousarray(beep_f32[sub].T), adjacency
+            ).T
+            # One flat lookup per transition: code = 2 * state + heard
+            # indexes the primary probability, and 2 * code + (u >= p)
+            # the successor — u >= p is exactly "not u < p", so the same
+            # uniforms pick the same successors as the two-table form.
+            code = 2 * sub + heard
+            probability = prob_by_code.take(code)
             if rng_position == depth:
                 streams.fill_blocks(active, rng_buffer)
                 rng_position = 0
@@ -526,7 +529,7 @@ class BatchedEngine:
                 else rng_buffer[rng_position, active]
             )
             rng_position += 1
-            new_states = np.where(uniforms < probability, primary, secondary)
+            new_states = next_by_code.take(2 * code + (uniforms >= probability))
             if full:
                 states = new_states
             else:
@@ -656,7 +659,7 @@ class BatchedEngine:
 
         gauges = {
             "engine.adjacency_dense": (
-                1.0 if self._dense_adjacency is not None else 0.0
+                1.0 if isinstance(self._hear_adjacency, np.ndarray) else 0.0
             ),
             "engine.kernel_parity_bitwise": (
                 1.0 if self.last_kernel["parity"] == "bitwise" else 0.0

@@ -51,6 +51,7 @@ import numpy as np
 from repro.baselines.emek_keren import EmekKerenStyleElection
 from repro.baselines.gilbert_newport import GilbertNewportKnockout
 from repro.baselines.id_broadcast import IDBroadcastElection
+from repro.batch.engine import hear_adjacency, hear_mask
 from repro.batch.observers import (
     BatchObserver,
     BatchRunInfo,
@@ -370,10 +371,6 @@ class BatchedMemoryEngine:
         :func:`supports_batched_memory`).
     """
 
-    #: Graphs up to this many nodes use a dense float32 adjacency so the
-    #: hear-mask is one BLAS matmul (same trade-off as ``BatchedEngine``).
-    DENSE_ADJACENCY_MAX_NODES = 1024
-
     def __init__(self, topology: Topology, protocol: MemoryProtocol) -> None:
         self._topology = topology
         self._protocol = protocol
@@ -383,10 +380,8 @@ class BatchedMemoryEngine:
                 f"memory protocol {getattr(protocol, 'name', protocol)!r} has "
                 "no registered batch implementation"
             )
-        self._adjacency = topology.sparse_adjacency()
-        self._dense_adjacency: Optional[np.ndarray] = None
-        if topology.n <= self.DENSE_ADJACENCY_MAX_NODES:
-            self._dense_adjacency = self._adjacency.toarray().astype(np.float32)
+        # Same dense/CSR crossover and hear-mask product as BatchedEngine.
+        self._hear_adjacency = hear_adjacency(topology.sparse_adjacency())
 
     @property
     def topology(self) -> Topology:
@@ -576,11 +571,5 @@ class BatchedMemoryEngine:
 
     def _heard(self, beeping: np.ndarray) -> np.ndarray:
         """Who hears a beep, per replica: one stacked product for the batch."""
-        if not beeping.any():
-            return beeping.copy()
-        as_float = beeping.astype(np.float32)
-        if self._dense_adjacency is not None:
-            neighbour = np.matmul(as_float, self._dense_adjacency)
-        else:
-            neighbour = self._adjacency.dot(as_float.T).T
-        return (as_float + neighbour) > 0
+        columns = np.ascontiguousarray(beeping.T, dtype=np.float32)
+        return hear_mask(columns, self._hear_adjacency).T

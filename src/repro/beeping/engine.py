@@ -10,9 +10,10 @@ round with a handful of array operations:
 * the beeping mask is a vectorised membership test on the state vector;
 * "who hears a beep" is one sparse matrix–vector product with the adjacency
   matrix;
-* the transition is a gather from the compiled lookup tables, with a single
-  vector of uniform random numbers resolving every probabilistic transition
-  of the round.
+* the transition is two lookups in the compiled protocol's flat tables
+  (:attr:`CompiledProtocol.prob_by_code`, then
+  :attr:`CompiledProtocol.next_by_code`), with a single vector of uniform
+  random numbers resolving every probabilistic transition of the round.
 
 The engine supports any protocol whose states are integer-valued and whose
 transition rows have at most two outcomes — which covers BFW, its ablation
@@ -86,6 +87,11 @@ class CompiledProtocol:
         "heard a beep" flag (0 = silent / ``δ⊥``, 1 = heard / ``δ⊤``).  A
         transition goes to ``succ_primary`` with ``primary_probability`` and
         to ``succ_secondary`` otherwise.
+    prob_by_code, next_by_code:
+        The same tables flattened for one-lookup transitions: with
+        ``code = 2 * state + heard``, ``prob_by_code[code]`` is the primary
+        probability and ``next_by_code[2 * code + (u >= p)]`` the successor
+        chosen by uniform ``u`` (``0`` = primary, ``1`` = secondary).
     """
 
     num_states: int
@@ -95,6 +101,8 @@ class CompiledProtocol:
     succ_primary: np.ndarray
     succ_secondary: np.ndarray
     primary_probability: np.ndarray
+    prob_by_code: np.ndarray
+    next_by_code: np.ndarray
     protocol_name: str = ""
 
     @property
@@ -170,6 +178,8 @@ def compile_protocol(protocol: BeepingProtocol) -> CompiledProtocol:
         succ_primary=succ_primary,
         succ_secondary=succ_secondary,
         primary_probability=primary_probability,
+        prob_by_code=primary_probability.reshape(-1).copy(),
+        next_by_code=np.stack((succ_primary, succ_secondary), axis=-1).reshape(-1),
         protocol_name=protocol.name,
     )
 
@@ -365,15 +375,12 @@ class VectorizedEngine:
                 )
             else:
                 heard = beeping
-            heard_index = heard.astype(np.int8)
-
-            primary = compiled.succ_primary[states, heard_index]
-            secondary = compiled.succ_secondary[states, heard_index]
-            probability = compiled.primary_probability[states, heard_index]
+            # One flat lookup per transition (see CompiledProtocol): the
+            # same uniforms pick the same successors as the 2-D tables.
+            code = 2 * states.astype(np.intp) + heard
+            probability = compiled.prob_by_code.take(code)
             uniforms = generator.random(n)
-            states = np.where(uniforms < probability, primary, secondary).astype(
-                np.int8
-            )
+            states = compiled.next_by_code.take(2 * code + (uniforms >= probability))
             rounds_executed += 1
 
             leader_count = int(compiled.is_leader[states].sum())

@@ -38,7 +38,14 @@ from repro.batch.streams import (
 from repro.core.registry import create_protocol
 from repro.dynamics import ScheduleSpec, build_schedule
 from repro.errors import ConfigurationError
-from repro.graphs.generators import cycle_graph, erdos_renyi_graph
+from repro.experiments.tables import DEFAULT_TABLE1_GRAPHS
+from repro.graphs.generators import (
+    clique_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    make_graph,
+    torus_graph,
+)
 from repro.telemetry.metrics import MetricsRegistry, use_metrics
 
 from tests.batch.parity_harness import (
@@ -264,15 +271,51 @@ def test_engine_uses_streams_prefetch_depth():
 
 
 def test_crossover_heuristic_rule():
-    # Historic regime: anything with a <=4 MiB dense matrix stays dense.
+    # Up to 64 nodes everything stays dense, whatever the degree.
     assert dense_adjacency_preferred(64, nnz=128)
-    assert dense_adjacency_preferred(1024, nnz=2048)
-    # A million-node cycle: dense would need ~4 TB, CSR a few MB.
+    assert dense_adjacency_preferred(2, nnz=0)
+    # Above that, sparse graphs are CSR at every size — including the
+    # n = 1024 cycle and degree-4 torus that the old 4 MiB byte budget
+    # kept dense.
+    assert not dense_adjacency_preferred(65, nnz=130)
+    assert not dense_adjacency_preferred(1024, nnz=2048)
+    assert not dense_adjacency_preferred(1024, nnz=4096)
     assert not dense_adjacency_preferred(1_000_000, nnz=2_000_000)
-    # Above the byte budget, density decides: a near-clique beats CSR.
+    # Density decides: dense iff n**2 <= 16 * nnz (mean degree >= n / 16).
     n = 5000
     assert not dense_adjacency_preferred(n, nnz=2 * n)
+    assert dense_adjacency_preferred(n, nnz=n * n // 16)
+    assert not dense_adjacency_preferred(n, nnz=n * n // 16 - 1)
     assert dense_adjacency_preferred(n, nnz=n * (n - 1))
+
+
+def _representation(topology):
+    engine = BatchedEngine(topology, create_protocol("bfw"))
+    stats = engine._cache_stats()
+    return stats["adjacency_dense_builds"], stats["adjacency_csr_builds"]
+
+
+def test_torus_builds_csr_and_reports_sparse_gauge():
+    topology = torus_graph(32, 32)
+    assert _representation(topology) == (0, 1)
+    registry = MetricsRegistry()
+    engine = BatchedEngine(topology, create_protocol("bfw"))
+    with use_metrics(registry):
+        engine.run([1, 2], max_rounds=3)
+    assert registry.snapshot()["gauges"]["engine.adjacency_dense"] == 0.0
+
+
+def test_clique_builds_dense():
+    assert _representation(clique_graph(200)) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "spec", DEFAULT_TABLE1_GRAPHS, ids=lambda spec: spec.label
+)
+def test_table1_graphs_stay_dense(spec):
+    assert spec.n <= 64
+    topology = make_graph(spec.family, spec.n, rng=spec.seed)
+    assert _representation(topology) == (1, 0)
 
 
 @pytest.mark.parametrize("family,n", [("cycle", 64), ("erdos-renyi", 64)])
