@@ -11,9 +11,9 @@ replica-for-replica identical to the loop:
   200-node cycle, the scaling-experiment workload), asserting ≥ 3×;
 * the :class:`~repro.batch.memory.BatchedMemoryEngine` against a loop of
   :class:`~repro.beeping.simulator.MemorySimulator` runs (the Emek–Keren
-  epoch baseline, a Table-1 workload), asserting ≥ 2× at R = 32 — in
-  practice the gap is far larger, because the sequential memory simulator
-  pays a Python call per *node* per round, not just per round;
+  epoch baseline, a Table-1 workload), asserting ≥ 2× at R = 32 — the
+  single-seed simulator runs the same vectorised round as a one-replica
+  batch, so the ratio is what sharing one round across replicas buys;
 * the :class:`~repro.exec.ProcessBackend` against the single-process
   :class:`~repro.exec.BatchedBackend` on a multi-cell sweep (the Table-1 /
   scaling shape), asserting ≥ 1.5× with 2 workers — only on machines with

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.baselines.base import BaselineInfo
 from repro.beeping.simulator import SimulationResult
-from repro.core.rng import RngLike, as_rng
+from repro.core.rng import RngLike, as_rng, seed_provenance
 from repro.errors import ConfigurationError
 from repro.graphs.topology import Topology
 
@@ -112,7 +112,7 @@ class PipelinedIDElection:
         ``rounds_executed`` is the charged round count.
         """
         outcome = self.run_detailed(topology, rng=rng)
-        seed_value = rng if isinstance(rng, int) else None
+        seed_value = seed_provenance(rng)
         total = outcome.total_rounds
         if max_rounds is not None and total > max_rounds:
             # The schedule exceeded the caller's budget: report non-convergence.
@@ -239,10 +239,7 @@ class PipelinedIDElection:
             rounds_executed=rounds_executed,
             final_leader_count=final_leader_count,
             leader_node=leader_node,
-            seeds=tuple(
-                int(seed) if isinstance(seed, (int, np.integer)) else None
-                for seed in seeds
-            ),
+            seeds=tuple(seed_provenance(seed) for seed in seeds),
             leader_counts=tuple(() for _ in generators),
             final_states=None,
             protocol_name=self.name,

@@ -1,19 +1,21 @@
 """Batched execution of the Table-1 memory baselines.
 
 :class:`~repro.batch.engine.BatchedEngine` amortises the Python round loop
-across all replicas of a constant-state protocol, but the memory baselines
-(ID broadcast, the Emek–Keren-style epoch knockout, the Gilbert–Newport
-clique knockout) kept paying the far steeper per-node Python loop of
-:class:`~repro.beeping.simulator.MemorySimulator` once per seed.  This module
-closes that gap: each baseline's per-node memory is re-expressed as a set of
-``(R, n)`` (and, for identifier bits, ``(R, n, L)``) numpy arrays, and one
-:class:`BatchedMemoryEngine` round advances every replica of the batch with a
-handful of array operations.
+across all replicas of a constant-state protocol; this module does the same
+for the memory baselines (ID broadcast, the Emek–Keren-style epoch knockout,
+the Gilbert–Newport clique knockout), whose reference implementation
+(:func:`~repro.beeping.simulator.run_memory_reference`) pays a Python call
+per *node* per round.  Each baseline's per-node memory is re-expressed as a
+set of ``(R, n)`` (and, for identifier bits, ``(R, n, L)``) numpy arrays,
+and one :class:`BatchedMemoryEngine` round advances every replica of the
+batch with a handful of array operations.  Single-seed runs use the same
+round: :class:`~repro.beeping.simulator.MemorySimulator` runs a baseline
+with a batch state as a one-replica batch.
 
-Exact parity with the sequential simulator is the design constraint, and it
-pins down the randomness discipline:
+Exact parity with the per-node reference loop is the design constraint, and
+it pins down the randomness discipline:
 
-* ``MemorySimulator`` seeds one generator per run and consumes it in node
+* the reference loop seeds one generator per run and consumes it in node
   order — unconditionally at memory creation, and *conditionally* during
   updates (the baselines draw their next coin behind a short-circuiting
   ``candidate and rng.random() < p``, so eliminated nodes stop consuming
@@ -22,21 +24,23 @@ pins down the randomness discipline:
   order (:func:`draw_uniform_where`); a ``Generator.random(k)`` call yields
   the same doubles as ``k`` scalar ``random()`` calls, so the streams match
   bit for bit.
-* Convergence bookkeeping mirrors ``MemorySimulator.run`` — the two-round
+* Convergence bookkeeping mirrors the reference loop — the two-round
   single-leader stability window, the convergence round resetting whenever
   the candidate count leaves one, and the all-terminated early exit — and a
   replica that trips either stop condition is *retired in place*: it drops
   out of the active row index and stops consuming randomness and work.
 
 Replica ``r`` of a batch seeded with ``seeds[r]`` is therefore identical,
-field for field, to ``MemorySimulator(topology, protocol).run(rng=seeds[r])``.
-The shared harness in ``tests/batch/parity_harness.py`` enforces this for
-every supported baseline on paths, cycles and random graphs.
+field for field, to ``run_memory_reference(topology, protocol,
+rng=seeds[r])``.  The shared harness in ``tests/batch/parity_harness.py``
+checks this engine and ``MemorySimulator`` against the reference, each on
+its own, for every supported baseline on paths, cycles and random graphs.
 
 Supporting a new baseline means registering a :class:`MemoryBatchState`
 compiler for its protocol type with :func:`register_memory_batch_compiler`;
-protocols without one (and standalone runners such as the pipelined-IDs
-election) transparently keep the per-seed fallback path in
+protocols without one run the reference loop in ``MemorySimulator``, and
+they (like standalone runners such as the pipelined-IDs election) keep the
+per-seed fallback path in
 :class:`~repro.experiments.montecarlo.MonteCarloRunner`.
 """
 
@@ -228,7 +232,13 @@ class _EmekKerenBatch(MemoryBatchState):
 
 
 class _IDBroadcastBatch(MemoryBatchState):
-    """Batch state of the bit-by-bit broadcast: ``(R, n, L)`` identifier bits."""
+    """Batch state of the bit-by-bit broadcast: ``(R, n, L)`` identifier bits.
+
+    Every node of a replica terminates in the same round (the end of the
+    last phase), and the engine retires a replica in the round it
+    terminates, so no terminated row ever reaches :meth:`beep_mask` or
+    :meth:`update` — termination is one flag per replica.
+    """
 
     def __init__(self, protocol: IDBroadcastElection, topology: Topology) -> None:
         self._clock = protocol.clock
@@ -254,17 +264,13 @@ class _IDBroadcastBatch(MemoryBatchState):
         self._relay_next = np.zeros(shape, dtype=bool)
         self._relayed = np.zeros(shape, dtype=bool)
         self._heard_phase = np.zeros(shape, dtype=bool)
-        self._terminated = np.zeros(shape, dtype=bool)
+        self._terminated = np.zeros(num_replicas, dtype=bool)
 
     def beep_mask(self, round_index: int, rows: np.ndarray) -> np.ndarray:
-        if self._clock.is_finished(round_index - 1):
-            return np.zeros((len(rows), self._candidate.shape[1]), dtype=bool)
         if self._clock.is_phase_start(round_index):
             phase = self._clock.phase_of(round_index)
-            mask = self._candidate[rows] & self._bits[rows, :, phase]
-        else:
-            mask = self._relay_next[rows]
-        return mask & ~self._terminated[rows]
+            return self._candidate[rows] & self._bits[rows, :, phase]
+        return self._relay_next[rows]
 
     def update(
         self,
@@ -273,40 +279,32 @@ class _IDBroadcastBatch(MemoryBatchState):
         rows: np.ndarray,
         streams: ReplicaStreams,
     ) -> None:
-        live = ~self._terminated[rows]
         phase = self._clock.phase_of(round_index)
         candidate = self._candidate[rows]
-        relayed = self._relayed[rows]
-        heard_phase = self._heard_phase[rows]
         bit = self._bits[rows, :, phase]
         if self._clock.is_phase_start(round_index):
             relayed = candidate & bit
-            heard_phase = np.zeros_like(heard)
+            heard_phase = heard
         else:
-            relayed = relayed | self._relay_next[rows]
-        heard_phase = heard_phase | heard
-        terminated = self._terminated[rows]
+            relayed = self._relayed[rows] | self._relay_next[rows]
+            heard_phase = self._heard_phase[rows] | heard
         if self._clock.is_phase_end(round_index):
             relay_next = np.zeros_like(heard)
             # A 0-bit candidate that heard a wave this phase has lost.
-            candidate = candidate & ~(~bit & heard_phase)
+            self._candidate[rows] = candidate & ~(~bit & heard_phase)
             if phase == self._num_bits - 1:
-                terminated = np.ones_like(terminated)
+                self._terminated[rows] = True
         else:
             relay_next = heard & ~relayed
-        self._candidate[rows] = np.where(live, candidate, self._candidate[rows])
-        self._relay_next[rows] = np.where(live, relay_next, self._relay_next[rows])
-        self._relayed[rows] = np.where(live, relayed, self._relayed[rows])
-        self._heard_phase[rows] = np.where(
-            live, heard_phase, self._heard_phase[rows]
-        )
-        self._terminated[rows] = np.where(live, terminated, self._terminated[rows])
+        self._relay_next[rows] = relay_next
+        self._relayed[rows] = relayed
+        self._heard_phase[rows] = heard_phase
 
     def leader_mask(self, rows: np.ndarray) -> np.ndarray:
         return self._candidate[rows]
 
     def terminated_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self._terminated[rows].all(axis=1)
+        return self._terminated[rows]
 
 
 #: Compilers mapping a memory-protocol type to its batch-state factory.
@@ -418,10 +416,36 @@ class BatchedMemoryEngine:
         state classes); the per-round ``(R, n)`` leader mask and the retire
         machinery work exactly as on the constant-state engine.
         """
-        run_started = time.perf_counter()
         streams = (
             seeds if isinstance(seeds, ReplicaStreams) else ReplicaStreams(seeds)
         )
+        return self._run(
+            streams,
+            max_rounds,
+            record_leader_counts,
+            stop_at_single_leader,
+            stability_window,
+            observers,
+            engine="batched-memory",
+        )
+
+    def _run(
+        self,
+        streams: ReplicaStreams,
+        max_rounds: Optional[int],
+        record_leader_counts: bool,
+        stop_at_single_leader: bool,
+        stability_window: int,
+        observers: Sequence[BatchObserver],
+        engine: str,
+    ) -> BatchResult:
+        """:meth:`run` on prepared streams; ``engine`` labels telemetry.
+
+        :class:`~repro.beeping.simulator.MemorySimulator` runs its one seed
+        through here, so its heartbeats and metrics keep the ``"memory"``
+        label while the round loop is this one.
+        """
+        run_started = time.perf_counter()
         num_replicas = len(streams)
         if max_rounds is None:
             max_rounds = default_round_budget(self._topology)
@@ -515,7 +539,7 @@ class BatchedMemoryEngine:
                     pipeline.notify_retire(retired, round_index)
             if heartbeat is not None and heartbeat.due(round_index):
                 heartbeat.beat(
-                    engine="batched-memory",
+                    engine=engine,
                     round_index=round_index,
                     replicas=num_replicas,
                     active=int(active.size),
@@ -560,7 +584,7 @@ class BatchedMemoryEngine:
         from repro.telemetry.metrics import sample_engine_run
 
         sample_engine_run(
-            "batched-memory",
+            engine,
             rounds_advanced=int(rounds_executed.sum()),
             replicas=num_replicas,
             wall_seconds=time.perf_counter() - run_started,

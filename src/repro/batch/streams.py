@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.rng import seed_provenance
 from repro.errors import ConfigurationError
 
 SeedLike = Union[int, np.random.Generator, None]
@@ -78,8 +79,7 @@ class ReplicaStreams:
         if len(seeds) == 0:
             raise ConfigurationError("a batch needs at least one replica seed")
         self._seed_values: Tuple[Optional[int], ...] = tuple(
-            int(seed) if isinstance(seed, (int, np.integer)) else None
-            for seed in seeds
+            seed_provenance(seed) for seed in seeds
         )
         self._generators: List[np.random.Generator] = [
             seed if isinstance(seed, np.random.Generator)

@@ -38,7 +38,7 @@ from repro.batch.observers import (
 from repro.beeping.simulator import SimulationResult, default_round_budget
 from repro.beeping.trace import ExecutionTrace
 from repro.core.protocol import BeepingProtocol
-from repro.core.rng import RngLike, as_rng
+from repro.core.rng import RngLike, as_rng, seed_provenance
 from repro.dynamics.schedules import TopologySchedule
 from repro.errors import ConfigurationError, ProtocolError, SimulationError
 from repro.graphs.topology import Topology
@@ -274,7 +274,7 @@ class VectorizedEngine:
             request stops the run like ``stop_at_single_leader`` does.
         """
         run_started = time.perf_counter()
-        seed_value = rng if isinstance(rng, int) else None
+        seed_value = seed_provenance(rng)
         generator = as_rng(rng)
         if max_rounds is None:
             max_rounds = default_round_budget(self._topology)

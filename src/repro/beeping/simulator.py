@@ -8,7 +8,11 @@ Two simulators are provided:
   easy-to-audit reference implementation that the test suite checks the
   vectorised engine against.
 * :class:`MemorySimulator` runs baseline algorithms with unbounded per-node
-  memory (:class:`~repro.core.protocol.MemoryProtocol`).
+  memory (:class:`~repro.core.protocol.MemoryProtocol`).  Baselines with a
+  registered batch state — all of Table 1 — run as a one-replica
+  :class:`~repro.batch.memory.BatchedMemoryEngine` batch; the per-node loop
+  lives on in :func:`run_memory_reference`, which serves every other memory
+  protocol and is the oracle both memory engines are tested against.
 
 Both enforce the paper's communication semantics: in each round every node
 either beeps or listens, and a listening node hears a beep if and only if at
@@ -30,6 +34,7 @@ from repro.batch.observers import (
     BatchRunInfo,
     ObserverPipeline,
 )
+from repro.batch.streams import ReplicaStreams
 from repro.beeping.network import Configuration
 from repro.beeping.observers import (
     LeaderCountTracker,
@@ -40,7 +45,7 @@ from repro.beeping.observers import (
 )
 from repro.beeping.trace import ExecutionTrace
 from repro.core.protocol import BeepingProtocol, MemoryProtocol
-from repro.core.rng import RngLike, as_rng
+from repro.core.rng import RngLike, as_rng, seed_provenance
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.topology import Topology
 
@@ -164,7 +169,7 @@ class Simulator:
             Whether to stop as soon as a single leader remains.  For BFW this
             is sound because the leader count never increases.
         """
-        seed_value = rng if isinstance(rng, int) else None
+        seed_value = seed_provenance(rng)
         generator = as_rng(rng)
         if max_rounds is None:
             max_rounds = default_round_budget(self._topology)
@@ -274,11 +279,27 @@ class MemorySimulator:
     The round structure is identical to :class:`Simulator`; only the state
     representation differs.  The result's "leader count" is the number of
     nodes whose memory currently marks them as (candidate) leader.
+
+    A protocol with a registered batch state (see
+    :func:`~repro.batch.memory.supports_batched_memory` — every Table-1
+    baseline has one) runs as a one-replica
+    :class:`~repro.batch.memory.BatchedMemoryEngine` batch, whose vectorised
+    round is byte-identical to the per-node loop; any other memory protocol
+    runs :func:`run_memory_reference`.  Either way the run reports
+    ``engine="memory"`` to telemetry and heartbeats.
     """
 
     def __init__(self, topology: Topology, protocol: MemoryProtocol) -> None:
+        # Imported here because repro.batch.memory imports this module.
+        from repro.batch.memory import BatchedMemoryEngine, supports_batched_memory
+
         self._topology = topology
         self._protocol = protocol
+        self._batch = (
+            BatchedMemoryEngine(topology, protocol)
+            if supports_batched_memory(protocol)
+            else None
+        )
 
     @property
     def topology(self) -> Topology:
@@ -300,172 +321,202 @@ class MemorySimulator:
     ) -> SimulationResult:
         """Execute the algorithm and return a :class:`SimulationResult`.
 
-        Parameters
-        ----------
-        max_rounds:
-            Round budget; defaults to :func:`default_round_budget`.
-        rng:
-            Seed or generator for the algorithm's random choices.
-        stop_at_single_leader:
-            Stop once a single candidate leader has persisted for
-            ``stability_window`` consecutive rounds, or as soon as every node
-            reports termination.
-        stability_window:
-            Number of consecutive single-leader rounds required before
-            stopping (baselines may transiently drop to one candidate).
-        observers:
-            :class:`~repro.batch.observers.BatchObserver` instances driven
-            with one-replica round reports (``states``/``beeping`` are
-            ``None`` — memory protocols have no state classes).  A retire
-            request stops the run at that round, exactly as it retires the
-            replica on :class:`~repro.batch.memory.BatchedMemoryEngine`.
+        The parameters are those of :func:`run_memory_reference`, and so is
+        the result, field for field.  A caller's ``Generator`` is left in
+        the state the reference loop would leave it in: the batch state
+        draws exactly the randomness the per-node updates draw.  On the
+        batch path observers also receive ``on_retire`` when the run stops
+        before its budget, as on the batch engine.
         """
-        run_started = time.perf_counter()
-        seed_value = rng if isinstance(rng, int) else None
-        generator = as_rng(rng)
-        if max_rounds is None:
-            max_rounds = default_round_budget(self._topology)
+        if self._batch is None:
+            return run_memory_reference(
+                self._topology,
+                self._protocol,
+                max_rounds=max_rounds,
+                rng=rng,
+                stop_at_single_leader=stop_at_single_leader,
+                stability_window=stability_window,
+                observers=observers,
+            )
+        batch = self._batch._run(
+            ReplicaStreams([rng]),
+            max_rounds=max_rounds,
+            record_leader_counts=True,
+            stop_at_single_leader=stop_at_single_leader,
+            stability_window=stability_window,
+            observers=observers,
+            engine="memory",
+        )
+        return batch.replica(0)
 
-        n = self._topology.n
-        adjacency = self._topology.sparse_adjacency()
+
+def run_memory_reference(
+    topology: Topology,
+    protocol: MemoryProtocol,
+    max_rounds: Optional[int] = None,
+    rng: RngLike = None,
+    stop_at_single_leader: bool = True,
+    stability_window: int = 2,
+    observers: Sequence[BatchObserver] = (),
+) -> SimulationResult:
+    """Run a memory protocol with the per-node reference loop.
+
+    Every round asks each node's memory whether it beeps, computes who
+    hears, and calls ``protocol.update`` once per node, in node order — the
+    literal reading of the model, kept as the oracle the batch states of
+    :mod:`repro.batch.memory` are tested against, and the path of memory
+    protocols that have no batch state.
+
+    Parameters
+    ----------
+    max_rounds:
+        Round budget; defaults to :func:`default_round_budget`.
+    rng:
+        Seed or generator for the algorithm's random choices.
+    stop_at_single_leader:
+        Stop once a single candidate leader has persisted for
+        ``stability_window`` consecutive rounds, or as soon as every node
+        reports termination.
+    stability_window:
+        Number of consecutive single-leader rounds required before
+        stopping (baselines may transiently drop to one candidate).
+    observers:
+        :class:`~repro.batch.observers.BatchObserver` instances driven
+        with one-replica round reports (``states``/``beeping`` are
+        ``None`` — memory protocols have no state classes).  A retire
+        request stops the run at that round, exactly as it retires the
+        replica on :class:`~repro.batch.memory.BatchedMemoryEngine`.
+    """
+    run_started = time.perf_counter()
+    seed_value = seed_provenance(rng)
+    generator = as_rng(rng)
+    if max_rounds is None:
+        max_rounds = default_round_budget(topology)
+    if max_rounds < 0:
+        raise ConfigurationError(f"max_rounds must be >= 0; got {max_rounds}")
+
+    n = topology.n
+    adjacency = topology.sparse_adjacency()
+    memories = [protocol.create_memory(node, n, generator) for node in range(n)]
+
+    pipeline: Optional[ObserverPipeline] = None
+    active_one = np.ones(1, dtype=bool)
+    if observers:
+        pipeline = ObserverPipeline(
+            observers,
+            BatchRunInfo(
+                num_replicas=1,
+                n=n,
+                protocol_name=protocol.name,
+                topology_name=topology.name,
+                seeds=(seed_value,),
+            ),
+        )
+
+    leader_counts: List[int] = []
+    convergence_round: Optional[int] = None
+    consecutive_single = 0
+    rounds_executed = 0
+
+    def leaders_now() -> Tuple[Optional[np.ndarray], int]:
+        """One pass over the memories: (mask for observers, count)."""
+        if pipeline is None:
+            return None, sum(1 for memory in memories if protocol.is_leader(memory))
+        mask = np.array([protocol.is_leader(memory) for memory in memories], dtype=bool)
+        return mask, int(mask.sum())
+
+    def observe(round_index: int, mask: Optional[np.ndarray]) -> bool:
+        """Report one round to the pipeline; True = retire requested."""
+        if pipeline is None:
+            return False
+        assert mask is not None
+        requested = pipeline.observe_round(
+            round_index, None, None, mask.reshape(1, -1), active_one
+        )
+        return bool(requested is not None and requested[0])
+
+    mask, count = leaders_now()
+    leader_counts.append(count)
+    if count == 1:
+        convergence_round = 0
+        consecutive_single = 1
+    stop_requested = observe(0, mask)
+
+    # In-flight heartbeat: looked up once per run; None costs a single
+    # is-not-None check per round, and beats never touch `generator`, so
+    # records stay byte-identical with heartbeats on or off.
+    from repro.telemetry.heartbeat import current_heartbeat
+
+    heartbeat = current_heartbeat()
+
+    for round_index in range(max_rounds):
+        if stop_requested:
+            break
+        beeping = np.array(
+            [protocol.wants_to_beep(memory, round_index) for memory in memories],
+            dtype=bool,
+        )
+        if beeping.any():
+            heard = beeping | (adjacency.dot(beeping.astype(np.int32)) > 0)
+        else:
+            heard = beeping
         memories = [
-            self._protocol.create_memory(node, n, generator) for node in range(n)
+            protocol.update(memory, bool(heard[node]), round_index, generator)
+            for node, memory in enumerate(memories)
         ]
-
-        pipeline: Optional[ObserverPipeline] = None
-        active_one = np.ones(1, dtype=bool)
-        if observers:
-            pipeline = ObserverPipeline(
-                observers,
-                BatchRunInfo(
-                    num_replicas=1,
-                    n=n,
-                    protocol_name=self._protocol.name,
-                    topology_name=self._topology.name,
-                    seeds=(seed_value,),
-                ),
-            )
-
-        leader_counts: List[int] = []
-        convergence_round: Optional[int] = None
-        consecutive_single = 0
-        rounds_executed = 0
-
-        def leaders_now() -> Tuple[Optional[np.ndarray], int]:
-            """One pass over the memories: (mask for observers, count)."""
-            if pipeline is None:
-                return None, sum(
-                    1 for memory in memories if self._protocol.is_leader(memory)
-                )
-            mask = np.array(
-                [self._protocol.is_leader(memory) for memory in memories],
-                dtype=bool,
-            )
-            return mask, int(mask.sum())
-
-        def observe(round_index: int, mask: Optional[np.ndarray]) -> bool:
-            """Report one round to the pipeline; True = retire requested."""
-            if pipeline is None:
-                return False
-            assert mask is not None
-            requested = pipeline.observe_round(
-                round_index, None, None, mask.reshape(1, -1), active_one
-            )
-            return bool(requested is not None and requested[0])
+        rounds_executed += 1
 
         mask, count = leaders_now()
         leader_counts.append(count)
         if count == 1:
-            convergence_round = 0
-            consecutive_single = 1
-        stop_requested = observe(0, mask)
-
-        # In-flight heartbeat: looked up once per run; None costs a single
-        # is-not-None check per round, and beats never touch `generator`, so
-        # records stay byte-identical with heartbeats on or off.
-        from repro.telemetry.heartbeat import current_heartbeat
-
-        heartbeat = current_heartbeat()
-
-        for round_index in range(max_rounds):
-            if stop_requested:
-                break
-            beeping = np.array(
-                [
-                    self._protocol.wants_to_beep(memory, round_index)
-                    for memory in memories
-                ],
-                dtype=bool,
+            if convergence_round is None:
+                convergence_round = rounds_executed
+            consecutive_single += 1
+        else:
+            convergence_round = None
+            consecutive_single = 0
+        stop_requested = observe(rounds_executed, mask)
+        if heartbeat is not None and heartbeat.due(rounds_executed):
+            heartbeat.beat(
+                engine="memory",
+                round_index=rounds_executed,
+                replicas=1,
+                active=1,
+                converged=int(count == 1),
+                leaderless=int(count == 0),
+                rounds_advanced=rounds_executed,
             )
-            if beeping.any():
-                heard = beeping | (adjacency.dot(beeping.astype(np.int32)) > 0)
-            else:
-                heard = beeping
-            memories = [
-                self._protocol.update(
-                    memory, bool(heard[node]), round_index, generator
-                )
-                for node, memory in enumerate(memories)
-            ]
-            rounds_executed += 1
 
-            mask, count = leaders_now()
-            leader_counts.append(count)
-            if count == 1:
-                if convergence_round is None:
-                    convergence_round = rounds_executed
-                consecutive_single += 1
-            else:
-                convergence_round = None
-                consecutive_single = 0
-            stop_requested = observe(rounds_executed, mask)
-            if heartbeat is not None and heartbeat.due(rounds_executed):
-                heartbeat.beat(
-                    engine="memory",
-                    round_index=rounds_executed,
-                    replicas=1,
-                    active=1,
-                    converged=int(count == 1),
-                    leaderless=int(count == 0),
-                    rounds_advanced=rounds_executed,
-                )
+        if all(protocol.has_terminated(memory) for memory in memories):
+            break
+        if stop_at_single_leader and consecutive_single >= max(1, stability_window):
+            break
 
-            everyone_terminated = all(
-                self._protocol.has_terminated(memory) for memory in memories
-            )
-            if everyone_terminated:
-                break
-            if (
-                stop_at_single_leader
-                and consecutive_single >= max(1, stability_window)
-            ):
-                break
+    if pipeline is not None:
+        pipeline.finish(np.array([rounds_executed], dtype=np.int64))
 
-        if pipeline is not None:
-            pipeline.finish(np.array([rounds_executed], dtype=np.int64))
+    converged = convergence_round is not None and leader_counts[-1] == 1
 
-        converged = convergence_round is not None and leader_counts[-1] == 1
+    # One telemetry sample per run (a no-op unless a MetricsRegistry is
+    # installed); imported lazily to keep the simulator importable without
+    # pulling the telemetry stack.
+    from repro.telemetry.metrics import sample_engine_run
 
-        # One telemetry sample per run (a no-op unless a MetricsRegistry is
-        # installed); imported lazily to keep the simulator importable
-        # without pulling the telemetry stack.
-        from repro.telemetry.metrics import sample_engine_run
-
-        sample_engine_run(
-            "memory",
-            rounds_advanced=rounds_executed,
-            replicas=1,
-            wall_seconds=time.perf_counter() - run_started,
-            replicas_converged=int(converged),
-            replicas_leaderless=int(leader_counts[-1] == 0),
-        )
-        return SimulationResult(
-            converged=converged,
-            convergence_round=convergence_round if converged else None,
-            rounds_executed=rounds_executed,
-            final_leader_count=leader_counts[-1],
-            leader_counts=tuple(leader_counts),
-            protocol_name=self._protocol.name,
-            topology_name=self._topology.name,
-            seed=seed_value,
-        )
+    sample_engine_run(
+        "memory",
+        rounds_advanced=rounds_executed,
+        replicas=1,
+        wall_seconds=time.perf_counter() - run_started,
+        replicas_converged=int(converged),
+        replicas_leaderless=int(leader_counts[-1] == 0),
+    )
+    return SimulationResult(
+        converged=converged,
+        convergence_round=convergence_round if converged else None,
+        rounds_executed=rounds_executed,
+        final_leader_count=leader_counts[-1],
+        leader_counts=tuple(leader_counts),
+        protocol_name=protocol.name,
+        topology_name=topology.name,
+        seed=seed_value,
+    )

@@ -14,7 +14,7 @@ import cycle.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,3 +32,16 @@ def as_rng(rng: RngLike) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+def seed_provenance(rng: object) -> Optional[int]:
+    """The integer seed a run records as provenance, or ``None``.
+
+    Python and numpy integers both count as seeds (``np.int64(5)`` records
+    ``5``); generators, ``None`` and anything else record ``None``.  Every
+    engine, single-seed or batched, records ``seed`` through this helper, so
+    the same argument yields the same provenance on every path.
+    """
+    if isinstance(rng, (int, np.integer)):
+        return int(rng)
+    return None

@@ -35,6 +35,7 @@ from repro.batch.memory import BatchedMemoryEngine, supports_batched_memory
 from repro.batch.results import BatchResult
 from repro.batch.streams import SeedLike
 from repro.core.protocol import BeepingProtocol
+from repro.core.rng import seed_provenance
 from repro.errors import ConfigurationError
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.experiments.runner import run_protocol_on
@@ -146,10 +147,7 @@ class MonteCarloRunner:
         ]
         return BatchResult.from_simulation_results(
             results,
-            seeds=[
-                int(seed) if isinstance(seed, (int, np.integer)) else None
-                for seed in seeds
-            ],
+            seeds=[seed_provenance(seed) for seed in seeds],
         )
 
 

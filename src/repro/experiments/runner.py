@@ -5,9 +5,10 @@ Three kinds of protocol objects appear in the experiments:
 * constant-state beeping protocols (BFW and its variants) — executed with
   the vectorised engine;
 * memory protocols (ID broadcast, knockout, epoch baselines) — executed with
-  the :class:`~repro.beeping.simulator.MemorySimulator` (and, replica for
-  replica identically, with :class:`~repro.batch.memory.BatchedMemoryEngine`
-  when a whole seed batch runs at once);
+  the :class:`~repro.beeping.simulator.MemorySimulator`, which runs every
+  baseline with a batch state as a one-replica
+  :class:`~repro.batch.memory.BatchedMemoryEngine` batch (a whole seed batch
+  runs in one such engine call, replica for replica identically);
 * standalone runners (the pipelined O(D + log n) baseline) — executed through
   their own ``run(topology, rng, max_rounds)`` method.
 

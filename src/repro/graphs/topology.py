@@ -8,8 +8,12 @@ parts of the library need:
 * a ``scipy.sparse`` CSR adjacency matrix (for the vectorised engine),
 * a ``networkx`` graph (for generators and graph-theoretic queries).
 
-Distances and the diameter are computed lazily with breadth-first search and
-cached, since the scaling experiments query them repeatedly.
+Distances and the diameter are computed lazily and cached, since the scaling
+experiments query them repeatedly.  One level-synchronous breadth-first
+search over the CSR adjacency serves every query and advances a whole block
+of sources per Python iteration: ``diameter()`` on a graph of up to 512
+nodes is one search from all sources at once, and ``distances_from`` and
+the connectivity check are searches from one source.
 """
 
 from __future__ import annotations
@@ -73,16 +77,16 @@ class Topology:
         for neighbours in self._adjacency:
             neighbours.sort()
 
-        if require_connected and not self._is_connected():
-            raise TopologyError(
-                f"graph {self._name!r} with {n} nodes and {len(self._edges)} edges "
-                "is not connected"
-            )
-
         self._sparse: Optional[sparse.csr_matrix] = None
         self._nx: Optional[nx.Graph] = None
         self._distances: Dict[int, np.ndarray] = {}
         self._diameter: Optional[int] = None
+
+        if require_connected and not np.isfinite(self.distances_from(0)).all():
+            raise TopologyError(
+                f"graph {self._name!r} with {n} nodes and {len(self._edges)} edges "
+                "is not connected"
+            )
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -171,9 +175,12 @@ class Topology:
     # ------------------------------------------------------------------ #
 
     def distances_from(self, source: int) -> np.ndarray:
-        """BFS distances from ``source`` to every node (cached per source)."""
+        """BFS distances from ``source`` to every node (cached per source).
+
+        A float array holding ``inf`` for nodes that ``source`` cannot reach.
+        """
         if source not in self._distances:
-            self._distances[source] = self._bfs(source)
+            self._distances[source] = self._bfs(np.array([source]))[0]
         return self._distances[source]
 
     def distance(self, u: int, v: int) -> int:
@@ -187,16 +194,24 @@ class Topology:
     def diameter(self) -> int:
         """The diameter ``D`` of the graph (cached).
 
+        Exact for graphs of up to 512 nodes: one breadth-first search from
+        every source at once.  Larger graphs use a double-sweep heuristic —
+        exact on trees,
+        paths, cycles, grids and tori, a lower bound in general; for
+        adversarial inputs callers can fall back to ``networkx.diameter``.
+
         For a single-node graph the diameter is defined as ``0``; the
         protocols that need a strictly positive ``D`` (such as the
         non-uniform BFW variant) clamp it to at least 1 themselves.
         """
         if self._diameter is None:
-            if self._n == 1:
-                self._diameter = 0
+            if self._n <= 512:
+                self._diameter = int(self._bfs(np.arange(self._n)).max())
             else:
+                first = int(np.argmax(self.distances_from(0)))
+                second = int(np.argmax(self.distances_from(first)))
                 self._diameter = max(
-                    self.eccentricity(node) for node in self._peripheral_candidates()
+                    self.eccentricity(node) for node in (0, first, second)
                 )
         return self._diameter
 
@@ -220,44 +235,62 @@ class Topology:
     # Internal helpers
     # ------------------------------------------------------------------ #
 
-    def _bfs(self, source: int) -> np.ndarray:
-        distances = np.full(self._n, np.inf)
-        distances[source] = 0
-        frontier = [source]
-        depth = 0
-        while frontier:
-            depth += 1
-            next_frontier: List[int] = []
-            for node in frontier:
-                for neighbour in self._adjacency[node]:
-                    if not np.isfinite(distances[neighbour]):
-                        distances[neighbour] = depth
-                        next_frontier.append(neighbour)
-            frontier = next_frontier
-        return distances
+    def _bfs(self, sources: np.ndarray) -> np.ndarray:
+        """Hop distances from each of ``sources``; shape ``(len(sources), n)``.
 
-    def _is_connected(self) -> bool:
-        if self._n == 1:
-            return True
-        return bool(np.isfinite(self._bfs(0)).all())
-
-    def _peripheral_candidates(self) -> Sequence[int]:
-        """Nodes whose eccentricity is worth computing to find the diameter.
-
-        Computing every eccentricity costs ``O(n · (n + m))``, which dominates
-        large sweeps.  A double-BFS heuristic gives the exact diameter on
-        trees and a lower bound in general; we use it to prune: we compute the
-        eccentricity of the farthest node found by a double sweep plus every
-        node (exact) only when the graph is small.
+        A level-synchronous breadth-first search over the CSR adjacency that
+        advances the whole block of sources one level per Python iteration;
+        unreachable nodes keep distance ``inf``.  A block expands its
+        ``(n, k)`` frontier with one sparse product per level — the product
+        :func:`~repro.batch.engine.hear_mask` computes — on a float32
+        operand, because the stored int8 CSR would wrap at 128 frontier
+        neighbours.  A single source instead gathers the CSR slices of its
+        frontier nodes, so each level costs work in proportion to the edges
+        it crosses rather than to the whole graph (a million-node cycle
+        stays linear).
         """
-        if self._n <= 512:
-            return range(self._n)
-        first = int(np.argmax(self.distances_from(0)))
-        second = int(np.argmax(self.distances_from(first)))
-        # Exact enough for the generator families used in the benchmarks
-        # (paths, cycles, grids, trees, random graphs); for adversarial inputs
-        # callers can always fall back to networkx.diameter.
-        return (0, first, second)
+        adjacency = self.sparse_adjacency()
+        n = self._n
+        if len(sources) == 1:
+            indptr, indices = adjacency.indptr, adjacency.indices
+            degrees = np.diff(indptr)
+            distances = np.full(n, np.inf)
+            # slot[v] = position of v among this level's candidates: keeps
+            # the first copy of a node that several frontier nodes reach.
+            slot = np.empty(n, dtype=np.int64)
+            frontier = np.asarray(sources, dtype=np.int64)
+            distances[frontier] = 0
+            depth = 0
+            while frontier.size:
+                depth += 1
+                counts = degrees[frontier]
+                # Position in `indices` of every edge leaving the frontier:
+                # the node's CSR slice start plus the edge's rank in it.
+                shift = indptr[frontier] - (counts.cumsum() - counts)
+                edges = np.repeat(shift, counts) + np.arange(counts.sum())
+                reached = indices[edges]
+                reached = reached[distances[reached] == np.inf]
+                order = np.arange(reached.size)
+                slot[reached] = order
+                frontier = reached[slot[reached] == order]
+                distances[frontier] = depth
+            return distances[None, :]
+
+        operand = adjacency.astype(np.float32)
+        columns = np.arange(len(sources))
+        visited = np.zeros((n, len(sources)), dtype=bool)
+        visited[sources, columns] = True
+        distances = np.where(visited, 0.0, np.inf)
+        frontier = visited.astype(np.float32)
+        depth = 0
+        while True:
+            depth += 1
+            reached = (operand @ frontier > 0) & ~visited
+            if not reached.any():
+                return np.ascontiguousarray(distances.T)
+            visited |= reached
+            distances[reached] = depth
+            frontier = reached.astype(np.float32)
 
 
 def topology_from_networkx(graph: nx.Graph, name: Optional[str] = None) -> Topology:

@@ -11,8 +11,13 @@ round-trips — states it the same way:
   :class:`~repro.beeping.engine.VectorizedEngine` (including final state
   vectors and elected-node identities);
 * :class:`~repro.core.protocol.MemoryProtocol` baselines are checked
-  :class:`~repro.batch.memory.BatchedMemoryEngine` against
-  :class:`~repro.beeping.simulator.MemorySimulator`.
+  against the per-node reference loop
+  :func:`~repro.beeping.simulator.run_memory_reference` — both
+  :class:`~repro.batch.memory.BatchedMemoryEngine` and
+  :class:`~repro.beeping.simulator.MemorySimulator` (which runs batch-backed
+  baselines on their batch state), each on its own, so the two vectorised
+  engines can never agree with each other while both drifting from the
+  reference.
 
 :func:`assert_replica_parity` dispatches on the protocol type, so callers
 can parametrise over any mix of protocols, graph families, replica counts
@@ -32,7 +37,7 @@ import numpy as np
 from repro.batch import BatchedEngine, BatchedMemoryEngine, BatchTraceRecorder
 from repro.batch.observers import ObserverSpec
 from repro.beeping.engine import VectorizedEngine
-from repro.beeping.simulator import MemorySimulator
+from repro.beeping.simulator import MemorySimulator, run_memory_reference
 from repro.core.protocol import BeepingProtocol, MemoryProtocol
 from repro.dynamics import ScheduleSpec, build_schedule
 from repro.exec import ExecutionCell, resolve_backend
@@ -502,12 +507,19 @@ def assert_sharded_parity(backend, cells=None, shard_sizes=(1, 3, "auto")):
 
 def _assert_memory_parity(topology, protocol, seeds, **run_kwargs):
     batch = BatchedMemoryEngine(topology, protocol).run(list(seeds), **run_kwargs)
+    simulator = MemorySimulator(topology, protocol)
     for index, seed in enumerate(seeds):
-        single = MemorySimulator(topology, protocol).run(rng=seed, **run_kwargs)
-        assert_same_simulation_fields(batch.replica(index), single)
-        # The sequential result does not record the elected node, but the
-        # batch's identity must at least be consistent with the count.
-        if single.final_leader_count == 1:
+        reference = run_memory_reference(topology, protocol, rng=seed, **run_kwargs)
+        replica = batch.replica(index)
+        single = simulator.run(rng=seed, **run_kwargs)
+        for result in (replica, single):
+            assert_same_simulation_fields(result, reference)
+            assert result.seed == reference.seed
+            assert result.protocol_name == reference.protocol_name
+            assert result.topology_name == reference.topology_name
+        # The reference does not record the elected node, but the batch's
+        # identity must at least be consistent with the count.
+        if reference.final_leader_count == 1:
             assert 0 <= batch.leader_node[index] < topology.n
         else:
             assert batch.leader_node[index] == -1
