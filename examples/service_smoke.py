@@ -6,13 +6,17 @@ Against a running daemon (or one it boots itself), this script
 1. waits for ``GET /healthz`` to answer,
 2. submits a small sweep through ``ServiceBackend`` and checks the
    records are byte-identical to a local ``SequentialBackend`` run,
-3. resubmits the identical sweep and asserts it was served from the
-   content-addressed result cache (``service.cache_hits`` advanced,
-   no new shards executed),
+3. resubmits the identical sweep twice and asserts it was served from
+   the content-addressed result cache (``service.cache_hits`` advanced,
+   no new shards executed) in at most three HTTP requests per sweep,
+   with byte-identical outcome payloads both times,
 4. submits a fresh sweep with a per-sweep ``heartbeat_interval`` and
    asserts an in-flight ``progress`` event arrives **before** the sweep
    completes — live observability, not just a post-hoc summary,
-5. prints the service counters.
+5. sends ``POST /sweeps`` with ``Content-Length: -1`` over a raw socket
+   and asserts a 400 arrives within 5 s (the daemon must not block
+   reading a body of negative length),
+6. prints the service counters.
 
 Run it against a daemon you started (CI does this)::
 
@@ -26,8 +30,10 @@ or let it boot an in-process daemon::
 
 from __future__ import annotations
 
+import socket
 import sys
 import time
+from urllib.parse import urlsplit
 
 from repro.exec import ExecutionCell, SequentialBackend
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
@@ -63,6 +69,48 @@ def smoke_cells() -> tuple:
     return tuple(cells)
 
 
+def recording(client: ServiceClient) -> list:
+    """Log every HTTP request ``client`` makes as ``(path, reply)``."""
+    log: list = []
+    request = client._request
+
+    def logged(method, path, *args, **kwargs):
+        reply = request(method, path, *args, **kwargs)
+        log.append((path, reply))
+        return reply
+
+    client._request = logged
+    return log
+
+
+def outcome_payloads(log: list) -> list:
+    """The raw outcome payload strings of a request log's outcome replies."""
+    return [
+        entry["outcome"]
+        for path, reply in log
+        if "/outcomes?" in path
+        for entry in reply["outcomes"]
+    ]
+
+
+def check_negative_content_length(url: str, timeout: float = 5.0) -> None:
+    """A ``Content-Length: -1`` submission must get a prompt 400."""
+    split = urlsplit(url)
+    started = time.monotonic()
+    with socket.create_connection(
+        (split.hostname, split.port), timeout=timeout
+    ) as sock:
+        sock.sendall(
+            b"POST /sweeps HTTP/1.1\r\nHost: smoke\r\n"
+            b"Content-Length: -1\r\n\r\n"
+        )
+        reply = sock.recv(65536)
+    elapsed = time.monotonic() - started
+    status = reply.split(b" ", 2)[1] if reply else b"(no reply)"
+    assert status == b"400", f"Content-Length: -1 got HTTP {status!r}"
+    print(f"hostile Content-Length: HTTP 400 in {elapsed * 1000:.0f} ms")
+
+
 def run_smoke(url: str) -> None:
     client = ServiceClient(url)
     wait_for_healthz(client)
@@ -76,8 +124,13 @@ def run_smoke(url: str) -> None:
     print(f"parity: {len(first)} records byte-identical to SequentialBackend")
 
     before = client.metrics()["service"]["counters"]
+    log = recording(backend.client)
     second = backend.run_cells(cells)
     assert second == local, "cached records differ from the original run"
+    requests, payloads = len(log), outcome_payloads(log)
+    log.clear()
+    assert backend.run_cells(cells) == local
+    assert outcome_payloads(log) == payloads, "cache-hit payloads differ"
     after = client.metrics()["service"]["counters"]
     hits = after.get("service.cache_hits", 0) - before.get("service.cache_hits", 0)
     executed = after.get("service.shards_executed", 0) - before.get(
@@ -85,7 +138,13 @@ def run_smoke(url: str) -> None:
     )
     assert hits >= len(cells), f"expected a cache hit per cell, got {hits}"
     assert executed == 0, f"resubmission executed {executed} new shards"
-    print(f"cache: resubmission served {hits} cells from cache, 0 shards executed")
+    assert len(payloads) == len(cells)
+    for count in (requests, len(log)):
+        assert count <= 3, f"a cached resubmission took {count} HTTP requests"
+    print(
+        f"cache: resubmissions served {hits} cells from cache, 0 shards "
+        f"executed, {requests} HTTP requests each, byte-identical payloads"
+    )
 
     # Live observability: with heartbeats on, the event stream must carry
     # an in-flight "progress" record while the sweep is still running —
@@ -121,6 +180,8 @@ def run_smoke(url: str) -> None:
     assert kinds.index("progress") < kinds.index("summary")
     beats = kinds.count("progress")
     print(f"live: {beats} in-flight progress event(s) before completion")
+
+    check_negative_content_length(url)
 
     print("service counters:")
     for name in sorted(after):

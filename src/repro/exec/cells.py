@@ -455,6 +455,20 @@ class CellOutcome:
             object.__setattr__(self, "_records_cache", cached)
         return cached
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the fields only, never the memoized views.
+
+        :attr:`results` and :meth:`to_records` memoize into ``__dict__``;
+        dropping those keys keeps cache files, the service wire format and
+        ``process:N`` IPC byte-identical whether or not a view was read,
+        and the unpickled outcome rebuilds them on first access.
+        """
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in ("_results_cache", "_records_cache")
+        }
+
 
 #: What a caller may pass as ``shard_size``: ``None`` (no sharding), a
 #: positive int (max seeds per shard) or ``"auto"`` (``ceil(R / workers)``).

@@ -21,11 +21,23 @@ backend uses between worker processes.  Writes go through a temp file and
 ``os.replace`` so concurrent worker threads (or a reader racing a writer)
 never observe a half-written entry.
 
+Reads go through a bounded in-memory memo: a disk hit keeps the decoded
+:class:`~repro.exec.CellOutcome` *and* the envelope's stored base64
+``payload`` string in an LRU keyed by signature (at most
+:attr:`ResultCache.MEMO_BYTES` of payload text), so a resubmitted cell
+costs one dictionary lookup — no file read, no unpickling — and the
+daemon can answer with the stored payload as it is, without pickling
+the outcome again.  Entries are immutable once written (a signature
+determines its outcome), so the memo never goes stale; only reads
+(:meth:`ResultCache.get` / :meth:`ResultCache.get_entry`) fill it,
+never :meth:`ResultCache.put`.
+
 Determinism doubles as a safety net for retries: :meth:`ResultCache.put`
 on a signature that already has an entry *verifies* the fresh outcome's
-records against the stored ones instead of overwriting — a mismatch means
-a retried shard produced different bytes than its first (cached) run,
-which is a bug worth failing loudly over, not a condition to paper over.
+records against the stored ones (always read from disk) instead of
+overwriting — a mismatch means a retried shard produced different bytes
+than its first (cached) run, which is a bug worth failing loudly over,
+not a condition to paper over.
 """
 
 from __future__ import annotations
@@ -34,8 +46,9 @@ import json
 import os
 import tempfile
 import threading
+from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.exec.cells import CellOutcome, ExecutionCell, cell_to_spec
 from repro.service.wire import decode_outcome, encode_outcome
@@ -54,9 +67,16 @@ class ResultCache:
         real path to persist results across daemon restarts.
 
     ``hits`` / ``misses`` are plain-int counters (guarded by one lock with
-    the file operations); the service surfaces them as
+    the file operations and the memo); the service surfaces them as
     ``service.cache_hits`` / ``service.cache_misses`` in ``GET /metrics``.
+    A memo hit counts as a hit like a disk hit.
     """
+
+    #: Bound on the read-through memo, in characters of stored payload
+    #: (the decoded outcomes it pins are of the same order).  Least
+    #: recently used entries are evicted past it; an entry larger than the
+    #: whole bound is served but not memoised.
+    MEMO_BYTES = 64 * 1024 * 1024
 
     def __init__(self, directory: Optional[str] = None) -> None:
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
@@ -68,6 +88,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
+        self._memo: "OrderedDict[str, Tuple[CellOutcome, str]]" = OrderedDict()
+        self._memo_bytes = 0
 
     def _path(self, signature: str) -> Path:
         return self.directory / signature[:2] / f"{signature}.json"
@@ -76,16 +98,32 @@ class ResultCache:
         return sum(1 for _ in self.directory.glob("*/*.json"))
 
     def get(self, signature: str) -> Optional[CellOutcome]:
-        """The cached outcome for ``signature``, or ``None`` (counted miss).
+        """The cached outcome for ``signature``, or ``None`` (counted miss)."""
+        entry = self.get_entry(signature)
+        return None if entry is None else entry[0]
 
-        A corrupt entry (truncated file, undecodable payload) is treated as
-        a miss and deleted, so one bad write can never wedge a signature.
+    def get_entry(self, signature: str) -> Optional[Tuple[CellOutcome, str]]:
+        """The cached ``(outcome, payload)`` for ``signature``, or ``None``.
+
+        ``payload`` is the entry's stored base64 pickle — exactly what
+        :func:`~repro.service.wire.encode_outcome` wrote — so a caller can
+        ship it without re-encoding.  Memoised entries return the very
+        same two objects on every call, so callers share them and must not
+        mutate the outcome.  A corrupt entry (truncated file,
+        undecodable payload) is treated as a miss and deleted, so one bad
+        write can never wedge a signature.
         """
         path = self._path(signature)
         with self._lock:
+            entry = self._memo.get(signature)
+            if entry is not None:
+                self._memo.move_to_end(signature)
+                self.hits += 1
+                return entry
             try:
                 envelope = json.loads(path.read_text(encoding="utf-8"))
-                outcome = decode_outcome(envelope["payload"])
+                payload = envelope["payload"]
+                outcome = decode_outcome(payload)
             except FileNotFoundError:
                 self.misses += 1
                 return None
@@ -94,7 +132,20 @@ class ResultCache:
                 self.misses += 1
                 return None
             self.hits += 1
-            return outcome
+            entry = (outcome, payload)
+            self._remember(signature, entry)
+            return entry
+
+    def _remember(self, signature: str, entry: Tuple[CellOutcome, str]) -> None:
+        """Memoise one decoded disk entry, evicting LRU past the bound."""
+        size = len(entry[1])
+        if size > self.MEMO_BYTES:
+            return
+        self._memo[signature] = entry
+        self._memo_bytes += size
+        while self._memo_bytes > self.MEMO_BYTES:
+            _, (_, evicted) = self._memo.popitem(last=False)
+            self._memo_bytes -= len(evicted)
 
     def put(
         self, signature: str, cell: ExecutionCell, outcome: CellOutcome

@@ -9,7 +9,10 @@ Three layers, thinnest first:
   executor happens to live in another process: ``run_cell_outcomes``
   submits the cells, long-polls the event stream for progress (delivering
   :class:`~repro.exec.CellCompleted` events in cell order, like every
-  backend), and fetches the byte-exact outcomes back.  Registered as
+  backend), and fetches the byte-exact outcomes back with one
+  ``GET /sweeps/{id}/outcomes?cells=…`` request per poll that reports
+  completed cells — a fully cached sweep is three requests (submit, one
+  poll, one outcome fetch), whatever its cell count.  Registered as
   ``"service:URL"`` in :func:`~repro.exec.resolve_backend`, so any sweep
   entry point (``repro montecarlo --backend service:http://host:port``)
   can run against a daemon without code changes;
@@ -44,6 +47,10 @@ from repro.telemetry.heartbeat import Heartbeat
 from repro.telemetry.progress import render_event
 
 __all__ = ["ServiceBackend", "ServiceClient", "normalise_url", "tail_service"]
+
+#: Most cells one outcomes request names, so a huge poll cannot outgrow
+#: the server's request-line limit; larger batches take several requests.
+_MAX_CELLS_PER_REQUEST = 1024
 
 
 def normalise_url(url: str) -> str:
@@ -167,10 +174,33 @@ class ServiceClient:
 
     def outcome(self, sweep_id: str, cell_index: int) -> CellOutcome:
         """Fetch one completed cell's byte-exact outcome."""
+        return self.outcomes(sweep_id, [cell_index])[int(cell_index)]
+
+    def outcomes(
+        self, sweep_id: str, cell_indices: Sequence[int]
+    ) -> Dict[int, CellOutcome]:
+        """Fetch completed cells' byte-exact outcomes in one request.
+
+        Returns ``{cell index: outcome}``; payloads are decoded once per
+        cell, in ascending cell order.
+        """
+        indices = sorted({int(index) for index in cell_indices})
+        query = ",".join(str(index) for index in indices)
         payload = self._request(
-            "GET", f"/sweeps/{sweep_id}/outcomes?cell={int(cell_index)}"
+            "GET", f"/sweeps/{sweep_id}/outcomes?cells={query}"
         )
-        return decode_outcome(payload.get("outcome"))
+        entries = payload.get("outcomes")
+        if not isinstance(entries, list) or [
+            entry.get("cell") if isinstance(entry, dict) else None
+            for entry in entries
+        ] != indices:
+            raise ServiceError(
+                f"outcomes for sweep {sweep_id} did not list cells {indices}"
+            )
+        return {
+            index: decode_outcome(entry.get("outcome"))
+            for index, entry in zip(indices, entries)
+        }
 
     def cancel(self, sweep_id: str) -> Dict[str, object]:
         return self._request("POST", f"/sweeps/{sweep_id}/cancel")
@@ -228,6 +258,7 @@ class ServiceBackend(ExecutionBackend):
         )
         sweep_id = str(receipt["id"])
         outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
+        reported = [False] * len(cells)  # a "cell" event has been walked
         next_emit = 0  # progress events must go out in cell order
         cursor = 0
         while True:
@@ -235,18 +266,24 @@ class ServiceBackend(ExecutionBackend):
                 sweep_id, cursor=cursor, timeout=self.poll_timeout
             )
             cursor = int(poll["cursor"])  # type: ignore[arg-type]
-            for record in poll.get("events", ()):  # type: ignore[union-attr]
+            records = poll.get("events", ())
+            self._fetch(
+                sweep_id,
+                outcomes,
+                [
+                    int(record["index"])
+                    for record in records  # type: ignore[union-attr]
+                    if record.get("event") == "cell"
+                ],
+            )
+            for record in records:  # type: ignore[union-attr]
                 if record.get("event") == "progress":
                     self._emit_progress(progress, record, cells)
                     continue
                 if record.get("event") != "cell":
                     continue
-                index = int(record["index"])
-                if outcomes[index] is None:
-                    outcomes[index] = self.client.outcome(sweep_id, index)
-                while (
-                    next_emit < len(cells) and outcomes[next_emit] is not None
-                ):
+                reported[int(record["index"])] = True
+                while next_emit < len(cells) and reported[next_emit]:
                     self._emit(progress, next_emit, len(cells), outcomes)
                     next_emit += 1
             if poll.get("done"):
@@ -257,13 +294,31 @@ class ServiceBackend(ExecutionBackend):
                         f"{poll.get('error') or 'no error reported'}"
                     )
                 break
-        for index in range(len(cells)):  # cached cells may predate polling
-            if outcomes[index] is None:
-                outcomes[index] = self.client.outcome(sweep_id, index)
+        # Cached cells may predate polling.
+        self._fetch(sweep_id, outcomes, range(len(cells)))
         while next_emit < len(cells):
             self._emit(progress, next_emit, len(cells), outcomes)
             next_emit += 1
         return tuple(outcomes)  # type: ignore[return-value]
+
+    def _fetch(
+        self,
+        sweep_id: str,
+        outcomes: List[Optional[CellOutcome]],
+        cell_indices: Sequence[int],
+    ) -> None:
+        """Fill the not-yet-fetched ``cell_indices`` in one request.
+
+        Only a batch of more than ``_MAX_CELLS_PER_REQUEST`` cells takes
+        several.
+        """
+        missing = sorted(
+            {index for index in cell_indices if outcomes[index] is None}
+        )
+        for start in range(0, len(missing), _MAX_CELLS_PER_REQUEST):
+            chunk = missing[start:start + _MAX_CELLS_PER_REQUEST]
+            for index, outcome in self.client.outcomes(sweep_id, chunk).items():
+                outcomes[index] = outcome
 
     def _emit_progress(
         self,

@@ -23,8 +23,16 @@ HTTP API (all JSON, see :mod:`repro.service.wire`):
                                              in-flight ``"progress"`` heartbeats),
                                              so ``repro tail --url`` renders them
                                              with the file-mode renderer
-``GET /sweeps/{id}/outcomes?cell=K``         one completed cell's byte-exact
+``GET /sweeps/{id}/outcomes?cells=i,j,k``    completed cells' byte-exact
                                              :class:`~repro.exec.CellOutcome`
+                                             payloads in one response,
+                                             ``{"id", "outcomes": [{"cell",
+                                             "cached", "outcome"}, ...]}``;
+                                             cache hits ship the stored
+                                             payload without re-encoding
+``GET /sweeps/{id}/outcomes?cell=K``         the one-cell case, flattened:
+                                             ``{"id", "cell", "cached",
+                                             "outcome"}``
 ``GET /sweeps/{id}/spans``                   the sweep's span tree (sweep → cell →
                                              shard → attempt), for
                                              ``repro trace export``
@@ -104,6 +112,10 @@ _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 #: Hard cap on one long-poll wait, whatever the client asks for.
 _MAX_POLL_SECONDS = 30.0
 
+#: Largest ``POST`` body the daemon reads; a longer declared
+#: ``Content-Length`` is refused with 413 before any of it is read.
+_MAX_BODY_BYTES = 32 * 1024 * 1024
+
 #: Upper edges of the per-shard wall-time histogram (``/metrics``); the
 #: implicit last bucket is +Inf.
 _SHARD_WALL_BUCKETS = (0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0)
@@ -157,6 +169,10 @@ class _Sweep:
     shards: List[List[_Shard]]
     outcomes: List[Optional[CellOutcome]]
     cell_cached: List[bool]
+    # For cells served from the result cache, the cache's own stored
+    # payload string (the same object, not a copy); ``None`` for cells
+    # executed here, which are encoded when requested.
+    payloads: List[Optional[str]]
     state: str = "running"  # running | done | failed | cancelled
     error: Optional[str] = None
     events: List[Dict[str, object]] = field(default_factory=list)
@@ -400,6 +416,7 @@ class SweepService:
                 shards=[[] for _ in cells],
                 outcomes=[None for _ in cells],
                 cell_cached=[False for _ in cells],
+                payloads=[None for _ in cells],
                 heartbeat_interval=interval,
             )
             sweep.span_id = sweep.spans.begin(
@@ -425,8 +442,9 @@ class SweepService:
             self._metrics.count("service.cells_submitted", len(cells))
             for cell_index, cell in enumerate(cells):
                 signature = cell_signature(cell)
-                cached = self.cache.get(signature)
-                if cached is not None:
+                entry = self.cache.get_entry(signature)
+                if entry is not None:
+                    cached, sweep.payloads[cell_index] = entry
                     sweep.outcomes[cell_index] = cached
                     sweep.cell_cached[cell_index] = True
                     sweep.spans.finish(
@@ -1004,29 +1022,51 @@ class SweepService:
                 "error": sweep.error,
             }
 
-    def cell_outcome_payload(
-        self, sweep_id: str, cell_index: int
+    def cell_outcomes_payload(
+        self, sweep_id: str, cell_indices: Sequence[int]
     ) -> Dict[str, object]:
-        """The ``GET /sweeps/{id}/outcomes?cell=K`` payload."""
+        """The ``GET /sweeps/{id}/outcomes?cells=i,j,k`` payload.
+
+        Cells served from the result cache ship its stored payload string
+        as it is; cells executed by this daemon are encoded here, outside
+        the lock, once per request.
+        """
         with self._lock:
             sweep = self._sweep_or_raise(sweep_id)
-            if not 0 <= cell_index < len(sweep.cells):
-                raise ConfigurationError(
-                    f"cell index {cell_index} out of range for sweep "
-                    f"{sweep_id} with {len(sweep.cells)} cells"
+            for cell_index in cell_indices:
+                if not 0 <= cell_index < len(sweep.cells):
+                    raise ConfigurationError(
+                        f"cell index {cell_index} out of range for sweep "
+                        f"{sweep_id} with {len(sweep.cells)} cells"
+                    )
+                if sweep.outcomes[cell_index] is None:
+                    raise ServiceError(
+                        f"cell {cell_index} of sweep {sweep_id} has not "
+                        f"completed yet (sweep state: {sweep.state})"
+                    )
+            picked = [
+                (
+                    cell_index,
+                    sweep.cell_cached[cell_index],
+                    sweep.outcomes[cell_index],
+                    sweep.payloads[cell_index],
                 )
-            outcome = sweep.outcomes[cell_index]
-            if outcome is None:
-                raise ServiceError(
-                    f"cell {cell_index} of sweep {sweep_id} has not "
-                    f"completed yet (sweep state: {sweep.state})"
-                )
-            return {
-                "id": sweep.id,
-                "cell": cell_index,
-                "cached": sweep.cell_cached[cell_index],
-                "outcome": encode_outcome(outcome),
-            }
+                for cell_index in cell_indices
+            ]
+        return {
+            "id": sweep_id,
+            "outcomes": [
+                {
+                    "cell": cell_index,
+                    "cached": cached,
+                    "outcome": (
+                        payload if payload is not None
+                        else encode_outcome(outcome)  # type: ignore[arg-type]
+                    ),
+                }
+                for cell_index, cached, outcome, payload in picked
+            ],
+        }
 
     def cancel(self, sweep_id: str) -> Dict[str, object]:
         """Stop scheduling a sweep's remaining shards (idempotent)."""
@@ -1116,6 +1156,17 @@ class SweepService:
             }
 
 
+def _cell_index(name: str, value: str, item: str) -> int:
+    """One cell index of an outcomes query; 400 (naming it) on junk."""
+    try:
+        return int(item)
+    except ValueError:
+        raise ConfigurationError(
+            f"{name}={value!r}: {item!r} is not a cell index "
+            f"(expected comma-separated non-negative integers)"
+        ) from None
+
+
 class _ServiceHTTPServer(ThreadingHTTPServer):
     """Threaded listener with a back-pointer to the owning service."""
 
@@ -1142,11 +1193,17 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: object) -> None:
         """Silence per-request stderr logging (the daemon is not a log)."""
 
-    def _respond(self, status: int, payload: Dict[str, object]) -> None:
+    def _respond(
+        self, status: int, payload: Dict[str, object], close: bool = False
+    ) -> None:
         body = dump_json(payload)
         self.send_response(status)
         self.send_header("Content-Type", JSON_CONTENT_TYPE)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection: an unread body must not be
+            # parsed as the next request on a kept-alive connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -1158,8 +1215,56 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, status: int, message: str) -> None:
-        self._respond(status, {"error": message})
+    def _error(self, status: int, message: str, close: bool = False) -> None:
+        self._respond(status, {"error": message}, close=close)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` after answering a bad length.
+
+        A negative or non-integer ``Content-Length`` is a 400 and one above
+        ``_MAX_BODY_BYTES`` a 413; neither reads a byte of the body (a
+        ``read(-1)`` would block until the client hangs up).
+        """
+        header = self.headers.get("Content-Length")
+        if header is None:
+            return b""
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._error(
+                400,
+                f"Content-Length must be a non-negative integer; got {header!r}",
+                close=True,
+            )
+            return None
+        if length > _MAX_BODY_BYTES:
+            self._error(
+                413,
+                f"Content-Length {length} exceeds the {_MAX_BODY_BYTES}-byte "
+                f"limit on request bodies",
+                close=True,
+            )
+            return None
+        return self.rfile.read(length) if length else b""
+
+    def _outcomes(self, sweep_id: str, query: str) -> None:
+        """``GET /sweeps/{id}/outcomes``: ``?cells=i,j,k`` or ``?cell=K``."""
+        service = self.server.service
+        params = parse_qs(query, keep_blank_values=True)
+        if "cells" in params:
+            value = params["cells"][0]
+            indices = [
+                _cell_index("cells", value, item) for item in value.split(",")
+            ]
+            self._respond(200, service.cell_outcomes_payload(sweep_id, indices))
+            return
+        value = params.get("cell", ["0"])[0]
+        payload = service.cell_outcomes_payload(
+            sweep_id, [_cell_index("cell", value, value)]
+        )
+        self._respond(200, {"id": payload["id"], **payload["outcomes"][0]})
 
     def _dispatch(self, method: str) -> None:
         split = urlsplit(self.path)
@@ -1180,9 +1285,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             elif method == "GET" and parts == ["sweeps"]:
                 self._respond(200, service.list_sweeps())
             elif method == "POST" and parts == ["sweeps"]:
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length) if length else b""
-                self._respond(200, service.submit_payload(body))
+                body = self._read_body()
+                if body is not None:
+                    self._respond(200, service.submit_payload(body))
             elif method == "GET" and len(parts) == 2 and parts[0] == "sweeps":
                 self._respond(200, service.sweep_status(parts[1]))
             elif (
@@ -1202,10 +1307,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 and parts[0] == "sweeps"
                 and parts[2] == "outcomes"
             ):
-                cell = int(query.get("cell", ["0"])[0])
-                self._respond(
-                    200, service.cell_outcome_payload(parts[1], cell)
-                )
+                self._outcomes(parts[1], split.query)
             elif (
                 method == "GET"
                 and len(parts) == 3

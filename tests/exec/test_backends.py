@@ -92,6 +92,22 @@ def test_execute_cell_batched_matches_sequential():
     assert sequential.to_records() == batched.to_records()
 
 
+def test_cell_outcome_pickles_without_its_memoized_views():
+    import pickle
+
+    outcome = execute_cell_batched(_cell(seeds=tuple(range(8))))
+    before = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+    records = outcome.to_records()  # fills both memoized views
+    assert "_records_cache" in outcome.__dict__
+    after = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+    assert after == before
+    restored = pickle.loads(after)
+    assert "_results_cache" not in restored.__dict__
+    assert restored.to_records() == records
+    assert restored.results == outcome.results
+    assert pickle.dumps(restored, protocol=pickle.HIGHEST_PROTOCOL) == before
+
+
 def test_planted_leaders_negative_index_wraps():
     cell = _cell(
         graph=GraphSpec(family="path", n=9),

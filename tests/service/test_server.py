@@ -1,6 +1,7 @@
 """HTTP-level tests for the sweep-service daemon: routes, errors, lifecycle."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -174,6 +175,108 @@ def test_outcome_endpoint_rejects_bad_cell_index(service):
     with pytest.raises(ServiceError) as excinfo:
         client.outcome(sweep_id, 5)
     assert "400" in str(excinfo.value)
+
+
+def _wait_done(client, sweep_id):
+    """Drain the event stream until the sweep reaches a terminal state."""
+    cursor = 0
+    while True:
+        poll = client.events(sweep_id, cursor=cursor, timeout=15.0)
+        cursor = int(poll["cursor"])
+        if poll["done"]:
+            return poll["state"]
+
+
+def _http_error(url, path):
+    """The status and error message of a request expected to fail."""
+    try:
+        urllib.request.urlopen(f"{url}{path}", timeout=10)
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())["error"]
+    pytest.fail(f"expected an HTTP error from {path}")  # pragma: no cover
+
+
+@pytest.mark.parametrize(
+    "value, named",
+    [("x", "'x'"), ("", "''"), ("0,,1", "''"), ("-1", "-1"), ("2", "2")],
+)
+def test_outcomes_query_rejects_bad_cells(service, value, named):
+    client = ServiceClient(service.url)
+    sweep_id = str(client.submit([make_cell(), make_cell(seeds=(9,))])["id"])
+    assert _wait_done(client, sweep_id) == "done"
+    status, message = _http_error(
+        service.url, f"/sweeps/{sweep_id}/outcomes?cells={value}"
+    )
+    assert status == 400
+    assert named in message
+
+
+def test_outcomes_of_an_incomplete_cell_is_409():
+    from repro.service import ServiceFaultInjector, SweepService
+
+    injector = ServiceFaultInjector.from_spec("hang:1:0:1.0")
+    with SweepService(workers=2, fault_injector=injector) as daemon:
+        client = ServiceClient(daemon.url)
+        sweep_id = str(
+            client.submit([make_cell(), make_cell(seeds=(9,))])["id"]
+        )
+        poll = client.events(sweep_id, timeout=15.0)
+        assert [record["index"] for record in poll["events"]] == [0]
+        status, message = _http_error(
+            daemon.url, f"/sweeps/{sweep_id}/outcomes?cells=0,1"
+        )
+        assert status == 409
+        assert "cell 1" in message
+        assert set(client.outcomes(sweep_id, [0])) == {0}
+
+
+def test_single_cell_query_keeps_its_shape(service):
+    client = ServiceClient(service.url)
+    cells = [make_cell(), make_cell(seeds=(9, 10))]
+    sweep_id = str(client.submit(cells)["id"])
+    assert _wait_done(client, sweep_id) == "done"
+    _, batch = _get(service.url, f"/sweeps/{sweep_id}/outcomes?cells=0,1")
+    assert batch["id"] == sweep_id
+    assert [entry["cell"] for entry in batch["outcomes"]] == [0, 1]
+    _, single = _get(service.url, f"/sweeps/{sweep_id}/outcomes?cell=1")
+    assert single == {"id": sweep_id, **batch["outcomes"][1]}
+    records = SequentialBackend().run_cell_outcomes(cells)[1].to_records()
+    assert client.outcome(sweep_id, 1).to_records() == records
+
+
+# --------------------------------------------------------------------------- #
+# Hostile Content-Length on POST /sweeps
+# --------------------------------------------------------------------------- #
+
+
+def _raw_post(url, length):
+    """POST /sweeps over a raw socket declaring ``length``; the reply."""
+    host, port = url.split("//", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=1.0) as sock:
+        sock.sendall(
+            b"POST /sweeps HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode("ascii")
+        )
+        reply = b""
+        while True:  # the socket timeout bounds every read to 1 s
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [("-1", 400), ("abc", 400), ("1.5", 400), ("99999999999", 413)],
+)
+def test_hostile_content_length_gets_a_prompt_4xx(service, length, status):
+    code, message = _raw_post(service.url, length)
+    assert code == status
+    assert "Content-Length" in message
+    assert ServiceClient(service.url).healthz()["status"] == "ok"
 
 
 # --------------------------------------------------------------------------- #
