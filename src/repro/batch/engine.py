@@ -1,11 +1,11 @@
-"""The batched Monte-Carlo engine: all replicas of a sweep in one array.
+"""The constant-state engine: all replicas of a sweep in one array.
 
 Every statistical claim of the paper is reproduced by running dozens of
-independently seeded replicas of the same (protocol, graph) cell.  The
-:class:`~repro.beeping.engine.VectorizedEngine` already advances all *nodes*
-of one execution with a handful of array operations, but a sweep still pays
-the Python-level round loop once per seed.  :class:`BatchedEngine` amortises
-that loop across the whole cell:
+independently seeded replicas of the same (protocol, graph) cell.
+:class:`BatchedEngine` advances all of them in one round loop, and
+:class:`~repro.beeping.engine.VectorizedEngine` is its one-replica façade,
+so every constant-state run — a sweep cell or a single seed — goes through
+the same code:
 
 * the states of ``R`` replicas live in one ``(R, n)`` int array;
 * the beep masks of all replicas are one gather, and "who hears a beep" is
@@ -22,11 +22,14 @@ that loop across the whole cell:
   they drop out of the active index, stop consuming randomness, and stop
   costing work, while the batch keeps advancing the stragglers.
 
-Because the per-replica streams and the per-round order of operations match
-:meth:`VectorizedEngine.run` exactly, replica ``r`` of a batch seeded with
-``seeds[r]`` reproduces the standalone run bit for bit — same convergence
-round, same final leader, same leader-count trajectory.  The parity tests in
-``tests/batch/`` enforce this on paths, cycles, and random geometric graphs.
+A run takes one of two round paths: the fused scalar kernel of
+:mod:`repro.batch.kernels` (compiled with numba when available), or the
+interpreted numpy loop, which serves every run that needs per-round Python
+callbacks.  Both consume the same uniform blocks, so replica ``r`` of a
+batch seeded with ``seeds[r]`` is bit for bit the one-replica run seeded
+the same way — same convergence round, same final leader, same
+leader-count trajectory.  The parity tests in ``tests/batch/`` check every
+path against the uncompiled fused kernel (``kernel="python"``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from repro.batch.kernels import (
     compiled_fused_kernel,
     fused_round_block,
     resolve_kernel,
-    resolve_namespace,
-    run_xp_rounds,
 )
 from repro.batch.observers import (
     BatchObserver,
@@ -57,12 +58,36 @@ from repro.batch.streams import (
     SeedLike,
     prefetch_depth,
 )
-from repro.beeping.engine import CompiledProtocol, check_schedule, compile_protocol
+from repro.beeping.engine import CompiledProtocol, compile_protocol
 from repro.beeping.simulator import default_round_budget
 from repro.core.protocol import BeepingProtocol
 from repro.dynamics.schedules import TopologySchedule
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.topology import Topology
+
+
+def check_schedule(
+    topology: Topology, schedule: Optional[TopologySchedule]
+) -> Optional[TopologySchedule]:
+    """Validate a topology schedule against an engine's base graph.
+
+    The schedule must be a :class:`~repro.dynamics.schedules.TopologySchedule`
+    defined for the same node count (nodes are the protocol's agents — only
+    edges may change).
+    """
+    if schedule is None:
+        return None
+    if not isinstance(schedule, TopologySchedule):
+        raise ConfigurationError(
+            f"schedule must be a TopologySchedule (see repro.dynamics); "
+            f"got {type(schedule).__name__}"
+        )
+    if schedule.n != topology.n:
+        raise ConfigurationError(
+            f"schedule is defined for n={schedule.n} nodes but the engine's "
+            f"graph {topology.name} has n={topology.n}"
+        )
+    return schedule
 
 
 def dense_adjacency_preferred(n: int, nnz: int) -> bool:
@@ -133,13 +158,11 @@ class BatchedEngine:
         :func:`repro.batch.kernels.resolve_kernel`: ``"auto"`` (default,
         numba-compiled fused kernel when numba is importable, interpreted
         numpy path otherwise), ``"numba"`` (demand the compiled kernel),
-        ``"numpy"`` (force the interpreted path), ``"python"`` (the fused
-        kernel uncompiled — parity testing without numba), or
-        ``"xp:<namespace>"`` (the array-namespace variant, e.g.
-        ``"xp:numpy"``/``"xp:cupy"``).  Runs that need per-round Python
-        callbacks (observers, schedules, heartbeats) fall back to the
-        interpreted path with identical records; ``last_kernel`` records
-        what each run actually used.
+        ``"numpy"`` (force the interpreted path) or ``"python"`` (the fused
+        kernel uncompiled — parity testing without numba).  Runs that need
+        per-round Python callbacks (observers, schedules, heartbeats) fall
+        back to the interpreted path with identical records;
+        ``last_kernel`` records what each run actually used.
     """
 
     #: Memory cap (bytes) for the prefetched per-replica uniform blocks
@@ -172,9 +195,9 @@ class BatchedEngine:
         self._protocol = protocol
         self._compiled = compile_protocol(protocol)
         # Resolved once per engine: an explicit kernel="numba" without
-        # numba (or an unimportable xp namespace) fails here, not
-        # mid-sweep.  Per-run observer/schedule/heartbeat fallbacks are
-        # decided in run() — see KernelPolicy.fallback_reason.
+        # numba fails here, not mid-sweep.  Per-run observer/schedule/
+        # heartbeat fallbacks are decided in run() — see
+        # KernelPolicy.fallback_reason.
         self._kernel_policy: KernelPolicy = resolve_kernel(kernel)
         self.last_kernel: Optional[dict] = None
         self._adjacency = topology.sparse_adjacency()
@@ -291,11 +314,12 @@ class BatchedEngine:
         Parameters
         ----------
         seeds:
-            One seed (or generator) per replica — replica ``r`` reproduces
-            ``VectorizedEngine.run(rng=seeds[r])`` exactly — or a prebuilt
-            :class:`ReplicaStreams`.  Generator objects may be advanced up
-            to a prefetch block past the rounds their replica consumed (the
-            results are unaffected; see :class:`ReplicaStreams`).
+            One seed (or generator) per replica — replica ``r`` is, bit
+            for bit, the one-replica run seeded with ``seeds[r]`` — or a
+            prebuilt :class:`ReplicaStreams`.  Generator objects may be
+            advanced up to a prefetch block past the rounds their replica
+            consumed (the results are unaffected; see
+            :class:`ReplicaStreams`).
         max_rounds:
             Shared round budget; defaults to :func:`default_round_budget`.
         initial_states:
@@ -314,10 +338,36 @@ class BatchedEngine:
             does not perturb replica parity; their retire requests retire
             replicas exactly like the built-in single-leader stop.
         """
-        run_started = time.perf_counter()
         streams = (
             seeds if isinstance(seeds, ReplicaStreams) else ReplicaStreams(seeds)
         )
+        return self._run(
+            streams,
+            max_rounds,
+            initial_states,
+            record_leader_counts,
+            stop_at_single_leader,
+            observers,
+            engine="batched",
+        )
+
+    def _run(
+        self,
+        streams: ReplicaStreams,
+        max_rounds: Optional[int],
+        initial_states: Optional[np.ndarray],
+        record_leader_counts: bool,
+        stop_at_single_leader: bool,
+        observers: Sequence[BatchObserver],
+        engine: str,
+    ) -> BatchResult:
+        """:meth:`run` on prepared streams; ``engine`` labels telemetry.
+
+        :class:`~repro.beeping.engine.VectorizedEngine` runs its one seed
+        through here, so its heartbeats and metrics keep the
+        ``"vectorized"`` label.
+        """
+        run_started = time.perf_counter()
         num_replicas = len(streams)
         if max_rounds is None:
             max_rounds = default_round_budget(self._topology)
@@ -382,7 +432,6 @@ class BatchedEngine:
         active = np.flatnonzero(active_mask)
 
         adjacency = self._hear_adjacency
-        dense = adjacency if isinstance(adjacency, np.ndarray) else None
         beep_f32 = self._beep_f32
         is_leader = compiled.is_leader
         succ_primary = self._succ_primary_ip
@@ -404,16 +453,15 @@ class BatchedEngine:
         # kernels and this loop can never drift on buffer geometry.
         depth = prefetch_depth(num_replicas, n, self.RNG_BUFFER_BYTES)
 
-        # Kernel selection, once per run: fused and xp kernels execute a
+        # Kernel selection, once per run: the fused kernel executes a
         # whole RNG block per call, so any run needing per-round Python
-        # callbacks falls back to this interpreted path — consuming the
+        # callbacks falls back to the interpreted loop — consuming the
         # exact same uniform blocks, so records are identical either way.
         policy = self._kernel_policy
         fallback = policy.fallback_reason(
             observers=pipeline is not None,
             schedule=schedule is not None,
             heartbeat=heartbeat is not None,
-            needs_dense=dense is None,
         )
         kernel_label = "numpy" if fallback is not None else policy.resolved
         compile_seconds: Optional[float] = None
@@ -469,27 +517,6 @@ class BatchedEngine:
                         count_rows.append(count_block[offset].copy())
                 round_index += consumed
                 active = np.flatnonzero(active_mask)
-        elif policy.xp_namespace is not None and fallback is None:
-            states, round_index = run_xp_rounds(
-                resolve_namespace(policy.xp_namespace),
-                np.ascontiguousarray(states),
-                active_mask,
-                counts,
-                convergence,
-                rounds_executed,
-                dense,
-                beep_f32,
-                is_leader,
-                succ_primary,
-                succ_secondary,
-                primary_probability,
-                streams.fill_blocks,
-                depth,
-                max_rounds,
-                stop_at_single_leader,
-                count_rows,
-            )
-            active = np.flatnonzero(active_mask)
 
         rng_buffer = np.empty((depth, num_replicas, n), dtype=np.float64)
         rng_position = depth
@@ -588,7 +615,7 @@ class BatchedEngine:
                 # still-active rows have advanced round_index rounds each
                 # but are only written back at loop exit.
                 heartbeat.beat(
-                    engine="batched",
+                    engine=engine,
                     round_index=round_index,
                     replicas=num_replicas,
                     active=int(active.size),
@@ -639,17 +666,13 @@ class BatchedEngine:
         )
 
         # What actually ran, for callers and telemetry: the resolved
-        # kernel, the per-run fallback (if any), the compile cost, and
-        # the parity gate the kernel is held to ("bitwise" everywhere the
-        # host RNG feeds the kernel; "distributional" on device xp
-        # namespaces, per ROADMAP).
+        # kernel, the per-run fallback (if any) and the compile cost.
         self.last_kernel = {
             "requested": policy.requested,
             "resolved": policy.resolved,
             "active": kernel_label,
             "fallback": fallback,
             "compile_seconds": compile_seconds,
-            "parity": "bitwise" if kernel_label == "numpy" else policy.parity,
         }
 
         # One telemetry sample per run (a no-op unless a MetricsRegistry is
@@ -661,14 +684,11 @@ class BatchedEngine:
             "engine.adjacency_dense": (
                 1.0 if isinstance(self._hear_adjacency, np.ndarray) else 0.0
             ),
-            "engine.kernel_parity_bitwise": (
-                1.0 if self.last_kernel["parity"] == "bitwise" else 0.0
-            ),
         }
         if compile_seconds is not None:
             gauges["engine.kernel_compile_seconds"] = float(compile_seconds)
         sample_engine_run(
-            "batched",
+            engine,
             rounds_advanced=int(rounds_executed.sum()),
             replicas=num_replicas,
             wall_seconds=time.perf_counter() - run_started,

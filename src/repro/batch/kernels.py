@@ -17,16 +17,9 @@ beep→hear→transition→retire loop — into a single native call:
   reference across every registered protocol.
 * ``kernel="python"`` runs the identical function uncompiled, so the
   kernel's *logic* is parity-testable (and covered by the tier-1 suite)
-  on machines without numba; only the speed differs.
-* :func:`run_xp_rounds` is an array-namespace-agnostic variant of the
-  interpreted numpy path (``array_api_compat``-style ``xp`` dispatch):
-  the same vectorized round ops run on any NumPy-like namespace (NumPy,
-  CuPy, or an ``array_api_compat`` wrapper).  Uniforms are still drawn
-  from the host-side per-replica generators, so ``kernel="xp:numpy"`` is
-  byte-identical to the interpreted loop; on device namespaces the
-  results are *gated on distributional equivalence* (recorded as the
-  ``parity`` gate in :attr:`KernelPolicy` and the run metrics) because a
-  future device-resident RNG cannot preserve bit-level stream parity.
+  on machines without numba; only the speed differs.  Written
+  independently of the interpreted loop, it is also the bitwise oracle
+  the constant-state parity harness checks every other engine against.
 
 :class:`KernelPolicy` is the seam :class:`~repro.batch.engine.BatchedEngine`
 resolves a ``kernel=`` spec through: ``"auto"`` picks numba when it is
@@ -40,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -53,13 +46,10 @@ __all__ = [
     "kernel_compile_seconds",
     "numba_available",
     "resolve_kernel",
-    "resolve_namespace",
-    "run_xp_rounds",
     "validate_kernel",
 ]
 
-#: The non-namespace kernel spec values ``validate_kernel`` accepts
-#: (``"xp:<namespace>"`` strings are accepted on top of these).
+#: The kernel spec values ``validate_kernel`` accepts.
 KERNEL_SPECS = ("auto", "numba", "numpy", "python")
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -77,11 +67,11 @@ def validate_kernel(kernel: Optional[str]) -> Optional[str]:
     """Normalise and validate a kernel spec once, at construction time.
 
     ``None`` passes through (the caller's default applies); otherwise the
-    spec must be one of :data:`KERNEL_SPECS` or ``"xp:<namespace>"``.
-    Availability is *not* checked here — a cell stamped ``kernel="numba"``
-    must validate on a submitting client that has no numba, because the
-    worker that executes it may.  :func:`resolve_kernel` (called in the
-    executing process) enforces importability.
+    spec must be one of :data:`KERNEL_SPECS`.  Availability is *not*
+    checked here — a cell stamped ``kernel="numba"`` must validate on a
+    submitting client that has no numba, because the worker that executes
+    it may.  :func:`resolve_kernel` (called in the executing process)
+    enforces importability.
     """
     if kernel is None:
         return None
@@ -92,12 +82,9 @@ def validate_kernel(kernel: Optional[str]) -> Optional[str]:
     text = kernel.strip().lower()
     if text in KERNEL_SPECS:
         return text
-    if text.startswith("xp:") and text[3:].strip():
-        return "xp:" + text[3:].strip()
     raise ConfigurationError(
         f"unknown kernel {kernel!r}; expected one of "
-        f"{', '.join(repr(s) for s in KERNEL_SPECS)} or 'xp:<namespace>' "
-        f"(e.g. 'xp:numpy', 'xp:cupy')"
+        f"{', '.join(repr(s) for s in KERNEL_SPECS)}"
     )
 
 
@@ -111,48 +98,29 @@ class KernelPolicy:
         The spec the caller asked for (``"auto"`` when unspecified).
     resolved:
         What the spec resolved to in this process: ``"numba"``,
-        ``"python"``, ``"numpy"``, or ``"xp:<namespace>"``.  Runs that
-        need per-round Python callbacks still fall back to ``"numpy"``
-        per run (see :meth:`fallback_reason`).
+        ``"python"`` or ``"numpy"``.  Runs that need per-round Python
+        callbacks still fall back to ``"numpy"`` per run (see
+        :meth:`fallback_reason`).
     reason:
         One line explaining the resolution (what ``auto`` saw).
-    parity:
-        The equivalence gate the resolved kernel is held to:
-        ``"bitwise"`` for every host-RNG path, ``"distributional"`` for
-        non-NumPy ``xp`` namespaces (device execution may not preserve
-        bit-level float semantics; records are validated statistically).
     """
 
     requested: str
     resolved: str
     reason: str
-    parity: str = "bitwise"
-
-    @property
-    def wants_fused(self) -> bool:
-        """True when the resolved kernel is the fused scalar block kernel."""
-        return self.resolved in ("numba", "python")
-
-    @property
-    def xp_namespace(self) -> Optional[str]:
-        """The array-namespace name for ``"xp:..."`` kernels, else None."""
-        if self.resolved.startswith("xp:"):
-            return self.resolved[3:]
-        return None
 
     def fallback_reason(
         self,
         observers: bool = False,
         schedule: bool = False,
         heartbeat: bool = False,
-        needs_dense: bool = False,
     ) -> Optional[str]:
         """Why this run must use the interpreted numpy path, or ``None``.
 
-        Fused and ``xp`` kernels execute a whole RNG block per native
-        call, so anything that needs a per-round Python callback —
-        observers, per-round topology swaps, heartbeat polling — sends
-        the run down the interpreted path.  Both paths consume identical
+        The fused kernel executes a whole RNG block per native call, so
+        anything that needs a per-round Python callback — observers,
+        per-round topology swaps, heartbeat polling — sends the run down
+        the interpreted path.  Both paths consume identical
         uniform blocks, so the fallback never perturbs the RNG stream.
         """
         if self.resolved == "numpy":
@@ -163,8 +131,6 @@ class KernelPolicy:
             return "topology schedules swap the adjacency every round"
         if heartbeat:
             return "an ambient heartbeat emitter polls every round"
-        if needs_dense and self.xp_namespace is not None:
-            return "xp kernels need a dense-representable adjacency"
         return None
 
 
@@ -175,9 +141,7 @@ def resolve_kernel(kernel: Optional[str]) -> KernelPolicy:
     interpreted numpy path otherwise; ``"numba"`` demands numba and
     raises :class:`~repro.errors.ConfigurationError` when it is absent
     (an explicit request must not silently degrade); ``"python"`` runs
-    the fused kernel uncompiled; ``"xp:<name>"`` resolves the array
-    namespace eagerly so a missing backend fails at construction, not
-    mid-sweep.
+    the fused kernel uncompiled.
     """
     spec = validate_kernel(kernel) or "auto"
     if spec == "auto":
@@ -208,57 +172,11 @@ def resolve_kernel(kernel: Optional[str]) -> KernelPolicy:
             resolved="python",
             reason="explicit request: fused kernel, uncompiled",
         )
-    if spec == "numpy":
-        return KernelPolicy(
-            requested=spec,
-            resolved="numpy",
-            reason="explicit request: interpreted numpy path",
-        )
-    namespace = spec[3:]
-    resolve_namespace(namespace)  # fail fast on missing backends
     return KernelPolicy(
         requested=spec,
-        resolved=spec,
-        reason=f"explicit request: array-namespace path on {namespace!r}",
-        parity="bitwise" if namespace == "numpy" else "distributional",
+        resolved="numpy",
+        reason="explicit request: interpreted numpy path",
     )
-
-
-def resolve_namespace(name: str):
-    """Import the NumPy-like array namespace behind an ``"xp:<name>"`` spec.
-
-    ``"numpy"`` always resolves; anything else (``"cupy"``, an
-    ``array_api_compat``-wrapped namespace published under its own module
-    name) is imported on demand and must expose the NumPy-style API the
-    round loop uses (``asarray``/``where``/``matmul`` and integer fancy
-    indexing).  Missing backends raise
-    :class:`~repro.errors.ConfigurationError` naming the namespace.
-    """
-    name = name.strip().lower()
-    if name == "numpy":
-        return np
-    import importlib
-
-    try:
-        return importlib.import_module(name)
-    except ImportError:
-        raise ConfigurationError(
-            f"array namespace {name!r} for kernel='xp:{name}' is not "
-            f"importable in this process"
-        ) from None
-
-
-def as_numpy(array) -> np.ndarray:
-    """Copy an ``xp`` array back to host numpy, whatever the namespace."""
-    if isinstance(array, np.ndarray):
-        return array
-    get = getattr(array, "get", None)  # cupy
-    if callable(get):
-        return np.asarray(get())
-    cpu = getattr(array, "cpu", None)  # torch-style
-    if callable(cpu):
-        return np.asarray(cpu())
-    return np.asarray(array)
 
 
 # --------------------------------------------------------------------- #
@@ -426,112 +344,3 @@ def compiled_fused_kernel():
     _COMPILE_SECONDS = time.perf_counter() - started
     _COMPILED_KERNEL = kernel
     return _COMPILED_KERNEL, _COMPILE_SECONDS
-
-
-# --------------------------------------------------------------------- #
-# The array-namespace (xp) variant of the interpreted path
-# --------------------------------------------------------------------- #
-
-
-def run_xp_rounds(
-    xp,
-    states: np.ndarray,
-    active_mask: np.ndarray,
-    counts: np.ndarray,
-    convergence: np.ndarray,
-    rounds_executed: np.ndarray,
-    dense: np.ndarray,
-    beep_f32: np.ndarray,
-    is_leader: np.ndarray,
-    succ_primary: np.ndarray,
-    succ_secondary: np.ndarray,
-    primary_probability: np.ndarray,
-    fill_blocks: Callable[[np.ndarray, np.ndarray], None],
-    depth: int,
-    max_rounds: int,
-    stop_at_single_leader: bool,
-    count_rows: Optional[List[np.ndarray]],
-) -> Tuple[np.ndarray, int]:
-    """The interpreted round loop, dispatched through an ``xp`` namespace.
-
-    Runs the exact per-round vector ops of :meth:`BatchedEngine.run` —
-    beep gather, dense matmul hear-mask, successor gathers, ``where``
-    transition — on ``xp`` arrays, while the host keeps the per-replica
-    generators (``fill_blocks``) and the retire bookkeeping.  With
-    ``xp=numpy`` every operation is the interpreted loop's own, so the
-    result is byte-identical; device namespaces are held to the
-    distributional gate recorded on the :class:`KernelPolicy`.
-
-    Returns ``(states, rounds_executed_in_loop)`` with ``states`` back on
-    the host as the engine's intp batch array.
-    """
-    num_replicas, n = states.shape
-    dense_xp = xp.asarray(dense)
-    beep_xp = xp.asarray(beep_f32)
-    leader_xp = xp.asarray(is_leader)
-    succ_primary_xp = xp.asarray(succ_primary)
-    succ_secondary_xp = xp.asarray(succ_secondary)
-    probability_xp = xp.asarray(primary_probability)
-    states_xp = xp.asarray(states)
-
-    rng_buffer = np.empty((depth, num_replicas, n), dtype=np.float64)
-    rng_position = depth
-    active = np.flatnonzero(active_mask)
-    round_index = 0
-    while round_index < max_rounds and active.size:
-        round_index += 1
-        full = active.size == num_replicas
-        sub = states_xp if full else states_xp[xp.asarray(active)]
-        beeping = beep_xp[sub]
-        if bool(as_numpy(beeping.any())):
-            heard = (beeping + xp.matmul(beeping, dense_xp)) > 0
-        else:
-            heard = beeping > 0
-        heard_index = heard.astype(sub.dtype)
-
-        primary = succ_primary_xp[sub, heard_index]
-        secondary = succ_secondary_xp[sub, heard_index]
-        probability = probability_xp[sub, heard_index]
-        if rng_position == depth:
-            fill_blocks(active, rng_buffer)
-            rng_position = 0
-        uniforms_host = (
-            rng_buffer[rng_position]
-            if full
-            else rng_buffer[rng_position, active]
-        )
-        rng_position += 1
-        uniforms = xp.asarray(uniforms_host)
-        new_states = xp.where(uniforms < probability, primary, secondary)
-        if full:
-            states_xp = new_states
-        else:
-            states_xp[xp.asarray(active)] = new_states
-
-        active_counts = as_numpy(leader_xp[new_states].sum(axis=1)).astype(
-            np.int64
-        )
-        hit = active_counts == 1
-        if stop_at_single_leader:
-            if count_rows is not None:
-                counts[active] = active_counts
-                count_rows.append(counts.copy())
-            retire = hit
-        else:
-            counts[active] = active_counts
-            if count_rows is not None:
-                count_rows.append(counts.copy())
-            previous = convergence[active]
-            convergence[active] = np.where(
-                hit, np.where(previous == -1, round_index, previous), -1
-            )
-            retire = np.zeros(active.size, dtype=bool)
-        if retire.any():
-            retired = active[retire]
-            convergence[retired] = np.where(hit[retire], round_index, -1)
-            counts[retired] = active_counts[retire]
-            rounds_executed[retired] = round_index
-            active_mask[retired] = False
-            active = np.flatnonzero(active_mask)
-
-    return as_numpy(states_xp).astype(np.intp, copy=False), round_index

@@ -5,7 +5,8 @@ arrays, and this module is how callers watch those executions without
 modifying the engines: a :class:`BatchObserver` receives array-shaped hooks
 once per round, for the whole batch at once.  The same contract is driven by
 
-* :class:`~repro.beeping.engine.VectorizedEngine` (``R = 1``),
+* :class:`~repro.beeping.engine.VectorizedEngine` (``R = 1``, as a
+  one-replica :class:`~repro.batch.engine.BatchedEngine` batch),
 * :class:`~repro.batch.engine.BatchedEngine` (constant-state batches),
 * :class:`~repro.batch.memory.BatchedMemoryEngine` and
   :class:`~repro.beeping.simulator.MemorySimulator` (memory baselines —

@@ -1,19 +1,19 @@
-"""Per-replica random-number streams for the batched engine.
+"""Per-replica random-number streams for the constant-state engine.
 
-The batched engine advances ``R`` independent replicas in lockstep, but each
-replica must consume randomness from *its own* generator so that replica
-``r`` of a batch is bit-for-bit identical to a standalone
-:class:`~repro.beeping.engine.VectorizedEngine` run seeded the same way.
-This module owns that bookkeeping: turning a heterogeneous sequence of seeds
-(ints, generators, ``None``) into one generator per replica, and filling the
-per-round ``(R, n)`` uniform block row by row from the streams that are
-still active.
+:class:`~repro.batch.engine.BatchedEngine` advances ``R`` independent
+replicas in lockstep, but each replica must consume randomness from *its
+own* generator so that replica ``r`` of a batch is bit-for-bit identical to
+the one-replica run seeded the same way (which is what
+:class:`~repro.beeping.engine.VectorizedEngine` executes).  This module owns
+that bookkeeping: turning a heterogeneous sequence of seeds (ints,
+generators, ``None``) into one generator per replica, and prefetching
+blocks of per-round ``(R, n)`` uniforms row by row from the streams that
+are still active.
 
-Drawing row by row costs ``R`` calls to ``Generator.random`` per round —
-each a single C call — which is negligible next to the Python-level round
-loop the batch amortises away, and it is the only scheme that preserves
-exact parity with the single-run engine (independent ``Generator`` streams
-cannot be merged into one draw).
+Drawing row by row costs one ``Generator.random`` call per replica per
+prefetch block, which is negligible next to the round work, and it is the
+only scheme that keeps replicas independent of the batch they run in
+(independent ``Generator`` streams cannot be merged into one draw).
 """
 
 from __future__ import annotations
@@ -66,13 +66,14 @@ class ReplicaStreams:
         (used as-is, recorded seed ``None``), or ``None`` (OS entropy).
 
     .. warning::
-        The batched engine prefetches uniforms in blocks, so a stream may be
+        The engine prefetches uniforms in blocks, so a stream may be
         advanced up to a block beyond the rounds its replica actually
         consumed.  The replica's *results* are unaffected, but a caller who
         passes a ``Generator`` object and keeps drawing from it afterwards
-        will not observe the post-run state a standalone
-        ``VectorizedEngine.run`` would leave.  Pass integer seeds when the
-        generator's state matters beyond the run.
+        sees it advanced in whole blocks, not by the draws the run used —
+        on every engine entry point, ``VectorizedEngine.run`` included.
+        Pass integer seeds when the generator's state matters beyond the
+        run.
     """
 
     def __init__(self, seeds: Sequence[SeedLike]) -> None:
@@ -107,7 +108,7 @@ class ReplicaStreams:
         ``Generator.random((depth, n))`` call produces exactly the same
         numbers as ``depth`` successive ``random(n)`` calls (the generator
         emits one flat stream of doubles, filled row-major), so prefetching
-        preserves bit-for-bit parity with the standalone engine while
+        gives every round the numbers a per-round draw would while
         amortising the per-replica Python call over ``depth`` rounds.
         """
         depth, _, n = out.shape

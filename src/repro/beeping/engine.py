@@ -1,71 +1,39 @@
-"""A vectorised engine for constant-state beeping protocols.
+"""Compiled constant-state protocols and the single-run engine.
 
 The reference :class:`~repro.beeping.simulator.Simulator` applies transition
 kernels node by node in Python, which is convenient for auditing but too slow
 for the scaling experiments (paths with hundreds of nodes simulated for tens
-of thousands of rounds, dozens of seeds).  This engine compiles a protocol's
-transition table into dense numpy lookup arrays and advances all nodes of a
-round with a handful of array operations:
+of thousands of rounds, dozens of seeds).  :func:`compile_protocol` turns a
+protocol's transition table into dense numpy lookup arrays, and
+:class:`VectorizedEngine` runs one seeded execution over them.
 
-* the beeping mask is a vectorised membership test on the state vector;
-* "who hears a beep" is one sparse matrix–vector product with the adjacency
-  matrix;
-* the transition is two lookups in the compiled protocol's flat tables
-  (:attr:`CompiledProtocol.prob_by_code`, then
-  :attr:`CompiledProtocol.next_by_code`), with a single vector of uniform
-  random numbers resolving every probabilistic transition of the round.
-
-The engine supports any protocol whose states are integer-valued and whose
-transition rows have at most two outcomes — which covers BFW, its ablation
-variants, and any similar coin-toss protocol.
+:class:`VectorizedEngine` has no round loop of its own: it is a one-replica
+façade over :class:`~repro.batch.engine.BatchedEngine`, so a single run and
+replica ``r`` of a batch are the same code.  Compilation supports any
+protocol whose states are integer-valued and whose transition rows have at
+most two outcomes — which covers BFW, its ablation variants, and any
+similar coin-toss protocol.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.batch.observers import (
     BatchBeepCountTracker,
     BatchObserver,
-    BatchRunInfo,
     BatchTraceRecorder,
-    ObserverPipeline,
 )
-from repro.beeping.simulator import SimulationResult, default_round_budget
-from repro.beeping.trace import ExecutionTrace
+from repro.batch.streams import ReplicaStreams
+from repro.beeping.simulator import SimulationResult
 from repro.core.protocol import BeepingProtocol
-from repro.core.rng import RngLike, as_rng, seed_provenance
+from repro.core.rng import RngLike
 from repro.dynamics.schedules import TopologySchedule
-from repro.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.errors import ProtocolError
 from repro.graphs.topology import Topology
-
-
-def check_schedule(
-    topology: Topology, schedule: Optional[TopologySchedule]
-) -> Optional[TopologySchedule]:
-    """Validate a topology schedule against an engine's base graph.
-
-    Shared by both engines: the schedule must be a
-    :class:`~repro.dynamics.schedules.TopologySchedule` defined for the same
-    node count (nodes are the protocol's agents — only edges may change).
-    """
-    if schedule is None:
-        return None
-    if not isinstance(schedule, TopologySchedule):
-        raise ConfigurationError(
-            f"schedule must be a TopologySchedule (see repro.dynamics); "
-            f"got {type(schedule).__name__}"
-        )
-    if schedule.n != topology.n:
-        raise ConfigurationError(
-            f"schedule is defined for n={schedule.n} nodes but the engine's "
-            f"graph {topology.name} has n={topology.n}"
-        )
-    return schedule
 
 
 @dataclass(frozen=True)
@@ -187,6 +155,11 @@ def compile_protocol(protocol: BeepingProtocol) -> CompiledProtocol:
 class VectorizedEngine:
     """Fast simulator for compiled constant-state protocols.
 
+    A one-replica façade over :class:`~repro.batch.engine.BatchedEngine`
+    (built once, at construction): every run is a batch of one, reported
+    as an ordinary :class:`SimulationResult` and labelled ``"vectorized"``
+    in metrics and heartbeats.
+
     Parameters
     ----------
     topology:
@@ -206,38 +179,32 @@ class VectorizedEngine:
         protocol: BeepingProtocol,
         schedule: Optional[TopologySchedule] = None,
     ) -> None:
-        self._topology = topology
-        self._protocol = protocol
-        self._compiled = compile_protocol(protocol)
-        self._adjacency = topology.sparse_adjacency()
-        schedule = check_schedule(topology, schedule)
-        if schedule is not None and schedule.is_static:
-            # The identity schedule *is* today's fast path: adopt its (only)
-            # graph up front and skip the per-round dispatch entirely, so
-            # bit-identity with a scheduleless run holds by construction.
-            self._adjacency = schedule.topology_at(0).sparse_adjacency()
-            schedule = None
-        self._schedule = schedule
+        # Imported here because repro.batch.engine imports this module.
+        from repro.batch.engine import BatchedEngine
+
+        self._batch = BatchedEngine(topology, protocol, schedule=schedule)
+        self.last_states: Optional[np.ndarray] = None
+        self.last_beep_counts: Optional[np.ndarray] = None
 
     @property
     def topology(self) -> Topology:
         """The communication graph."""
-        return self._topology
+        return self._batch.topology
 
     @property
     def protocol(self) -> BeepingProtocol:
         """The protocol being simulated."""
-        return self._protocol
+        return self._batch.protocol
 
     @property
     def compiled(self) -> CompiledProtocol:
         """The compiled lookup tables."""
-        return self._compiled
+        return self._batch.compiled
 
     @property
     def schedule(self) -> Optional[TopologySchedule]:
         """The topology schedule, or ``None`` for a static graph."""
-        return self._schedule
+        return self._batch.schedule
 
     def run(
         self,
@@ -251,20 +218,29 @@ class VectorizedEngine:
     ) -> SimulationResult:
         """Execute the protocol and return a :class:`SimulationResult`.
 
+        After the run, :attr:`last_states` holds the final state vector
+        (int8) and :attr:`last_beep_counts` the per-node ``N^beep`` counts
+        (``None`` unless ``record_beep_counts``).
+
         Parameters
         ----------
         max_rounds:
-            Round budget; defaults to :func:`default_round_budget`.
+            Round budget; defaults to
+            :func:`~repro.beeping.simulator.default_round_budget`.
         rng:
-            Seed or generator driving all probabilistic transitions.
+            Seed or generator driving all probabilistic transitions.  A
+            ``Generator`` is advanced in whole prefetch blocks of uniforms,
+            so it may end up past the draws the run used; the results do
+            not depend on it (see
+            :class:`~repro.batch.streams.ReplicaStreams`).  Pass an integer
+            seed when the generator's state after the run matters.
         initial_states:
-            Integer state values per node; defaults to every node in the
-            protocol's initial state.
+            Integer state values per node (shape ``(n,)``); defaults to
+            every node in the protocol's initial state.
         record_trace:
             Whether to store and return the full state history.
         record_beep_counts:
-            Whether to accumulate ``N^beep`` per node (available through
-            :attr:`last_beep_counts` after the run).
+            Whether to accumulate ``N^beep`` per node.
         stop_at_single_leader:
             Stop as soon as the leader count reaches one.
         observers:
@@ -273,175 +249,27 @@ class VectorizedEngine:
             batched engine drives for whole batches.  An observer's retire
             request stops the run like ``stop_at_single_leader`` does.
         """
-        run_started = time.perf_counter()
-        seed_value = seed_provenance(rng)
-        generator = as_rng(rng)
-        if max_rounds is None:
-            max_rounds = default_round_budget(self._topology)
-        if max_rounds < 0:
-            raise ConfigurationError(f"max_rounds must be >= 0; got {max_rounds}")
-
-        n = self._topology.n
-        compiled = self._compiled
-        if initial_states is None:
-            states = np.full(n, compiled.initial_state, dtype=np.int8)
-        else:
-            states = np.asarray(initial_states, dtype=np.int8).copy()
-            if states.shape != (n,):
-                raise SimulationError(
-                    f"initial_states has shape {states.shape}; expected ({n},)"
-                )
-            if (states < 0).any() or (states >= compiled.num_states).any():
-                raise SimulationError("initial_states contains invalid state values")
-
-        # The trace / beep-count flags ride the same observation layer as
-        # caller-supplied observers: one code path from here to the batched
-        # engines (and byte-identical output to the historical inline paths).
-        attached: List[BatchObserver] = list(observers)
-        recorder: Optional[BatchTraceRecorder] = None
-        beep_tracker: Optional[BatchBeepCountTracker] = None
-        if record_trace:
-            recorder = BatchTraceRecorder()
-            attached.append(recorder)
-        if record_beep_counts:
-            beep_tracker = BatchBeepCountTracker()
-            attached.append(beep_tracker)
-        pipeline: Optional[ObserverPipeline] = None
-        active_one = np.ones(1, dtype=bool)
-        if attached:
-            pipeline = ObserverPipeline(
-                attached,
-                BatchRunInfo(
-                    num_replicas=1,
-                    n=n,
-                    protocol_name=compiled.protocol_name,
-                    topology_name=self._topology.name,
-                    beeping_values=compiled.beeping_values,
-                    leader_values=compiled.leader_values,
-                    seeds=(seed_value,),
-                ),
-            )
-
-        def observe(round_index: int) -> bool:
-            """Report one round to the pipeline; True = retire requested."""
-            if pipeline is None:
-                return False
-            mask = pipeline.observe_round(
-                round_index,
-                states.reshape(1, -1),
-                compiled.is_beeping[states].reshape(1, -1),
-                compiled.is_leader[states].reshape(1, -1),
-                active_one,
-            )
-            return bool(mask is not None and mask[0])
-
-        leader_counts: List[int] = []
-
-        leaders = compiled.is_leader[states]
-        leader_count = int(leaders.sum())
-        leader_counts.append(leader_count)
-        stop_requested = observe(0)
-
-        convergence_round: Optional[int] = 0 if leader_count == 1 else None
-        rounds_executed = 0
-
-        # In-flight heartbeat: looked up once per run; None costs a single
-        # is-not-None check per round and beats never touch `generator`, so
-        # records stay byte-identical with heartbeats on or off.
-        from repro.telemetry.heartbeat import current_heartbeat
-
-        heartbeat = current_heartbeat()
-
-        schedule = self._schedule
-        if schedule is not None:
-            schedule.begin_run()
-        adjacency = self._adjacency
-
-        while rounds_executed < max_rounds:
-            if stop_requested or (stop_at_single_leader and leader_count == 1):
-                break
-            if schedule is not None:
-                topology = schedule.topology_at(rounds_executed + 1, states=states)
-                if topology.n != n:
-                    raise ConfigurationError(
-                        f"schedule changed the node count to {topology.n} in "
-                        f"round {rounds_executed + 1}; expected {n}"
-                    )
-                adjacency = topology.sparse_adjacency()
-            beeping = compiled.is_beeping[states]
-            if beeping.any():
-                heard = beeping | (
-                    adjacency.dot(beeping.astype(np.int32)) > 0
-                )
-            else:
-                heard = beeping
-            # One flat lookup per transition (see CompiledProtocol): the
-            # same uniforms pick the same successors as the 2-D tables.
-            code = 2 * states.astype(np.intp) + heard
-            probability = compiled.prob_by_code.take(code)
-            uniforms = generator.random(n)
-            states = compiled.next_by_code.take(2 * code + (uniforms >= probability))
-            rounds_executed += 1
-
-            leader_count = int(compiled.is_leader[states].sum())
-            leader_counts.append(leader_count)
-            stop_requested = observe(rounds_executed) or stop_requested
-            if leader_count == 1 and convergence_round is None:
-                convergence_round = rounds_executed
-            elif leader_count != 1:
-                convergence_round = None
-            if heartbeat is not None and heartbeat.due(rounds_executed):
-                heartbeat.beat(
-                    engine="vectorized",
-                    round_index=rounds_executed,
-                    replicas=1,
-                    active=1,
-                    converged=int(leader_count == 1),
-                    leaderless=int(leader_count == 0),
-                    rounds_advanced=rounds_executed,
-                )
-
-        self.last_states = states.copy()
-        if pipeline is not None:
-            pipeline.finish(np.array([rounds_executed], dtype=np.int64))
+        attached = list(observers)
+        recorder = BatchTraceRecorder() if record_trace else None
+        beep_tracker = BatchBeepCountTracker() if record_beep_counts else None
+        attached += [obs for obs in (recorder, beep_tracker) if obs is not None]
+        batch = self._batch._run(
+            ReplicaStreams([rng]),
+            max_rounds=max_rounds,
+            initial_states=initial_states,
+            record_leader_counts=True,
+            stop_at_single_leader=stop_at_single_leader,
+            observers=attached,
+            engine="vectorized",
+        )
+        self.last_states = batch.final_states[0]
         self.last_beep_counts = (
             beep_tracker.counts[0] if beep_tracker is not None else None
         )
-
-        trace: Optional[ExecutionTrace] = None
+        result = batch.replica(0)
         if recorder is not None:
-            trace = recorder.trace().replica(0)
-
-        converged = convergence_round is not None and leader_counts[-1] == 1
-
-        # One telemetry sample per run (a no-op unless a MetricsRegistry is
-        # installed); imported lazily to keep the engine importable without
-        # pulling the telemetry stack.
-        from repro.telemetry.metrics import sample_engine_run
-
-        cache_stats = (
-            self._schedule.cache_stats() if self._schedule is not None else None
-        )
-        sample_engine_run(
-            "vectorized",
-            rounds_advanced=rounds_executed,
-            replicas=1,
-            wall_seconds=time.perf_counter() - run_started,
-            replicas_converged=int(converged),
-            replicas_leaderless=int(leader_counts[-1] == 0),
-            cache_stats=cache_stats,
-        )
-        return SimulationResult(
-            converged=converged,
-            convergence_round=convergence_round if converged else None,
-            rounds_executed=rounds_executed,
-            final_leader_count=leader_counts[-1],
-            leader_counts=tuple(leader_counts),
-            protocol_name=compiled.protocol_name,
-            topology_name=self._topology.name,
-            seed=seed_value,
-            trace=trace,
-        )
+            result = replace(result, trace=recorder.trace().replica(0))
+        return result
 
 
 def run_bfw(

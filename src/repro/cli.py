@@ -29,8 +29,7 @@ byte-identical on every backend under the same master seed — the batched,
 process and service executors reproduce each seeded replica exactly, so
 the choice is purely about wall-clock.  (``repro montecarlo`` additionally reports *how* it ran:
 its engine row and elected-leader identities reflect the chosen backend,
-because only batched executions record leader identities.)  The legacy
-``--batched`` flag remains as a deprecated alias for ``--backend batched``.
+because only batched executions record leader identities.)
 
 The CLI is intentionally thin: each sub-command parses arguments, calls the
 corresponding function in :mod:`repro.experiments`, and prints the rendered
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional, Sequence
 
 from repro._version import __version__
@@ -50,7 +48,6 @@ from repro._version import __version__
 def _add_backend_arguments(
     parser: argparse.ArgumentParser,
     default: str = "sequential",
-    legacy_batched: bool = True,
 ) -> None:
     """Attach the shared execution-backend options to a sub-command."""
     parser.add_argument(
@@ -99,17 +96,11 @@ def _add_backend_arguments(
         metavar="SPEC",
         help=(
             "Round kernel for the batched engine: 'auto' (numba when "
-            "importable), 'numba', 'numpy', 'python' or 'xp:<namespace>'. "
+            "importable), 'numba', 'numpy' or 'python'. "
             "Records are byte-identical on every kernel; only the "
             "wall-clock changes."
         ),
     )
-    if legacy_batched:
-        parser.add_argument(
-            "--batched",
-            action="store_true",
-            help="[deprecated] Alias for --backend batched.",
-        )
 
 
 def _add_progress_arguments(parser: argparse.ArgumentParser) -> None:
@@ -153,28 +144,15 @@ def _progress_reporter_from_args(args: argparse.Namespace):
 
 
 def _backend_spec_from_args(args: argparse.Namespace) -> Optional[str]:
-    """Combine --backend/--workers/--batched into one backend spec string.
+    """Combine --backend/--workers into one backend spec string.
 
     Returns ``None`` when nothing was requested, so each sub-command keeps
-    its historical default.  The deprecated ``--batched`` flag maps onto
-    ``--backend batched`` with a :class:`DeprecationWarning`.
+    its historical default.
     """
     from repro.errors import ConfigurationError
 
     backend: Optional[str] = args.backend
     workers: Optional[int] = args.workers
-    if getattr(args, "batched", False):
-        if backend is not None:
-            raise ConfigurationError(
-                "--batched is a deprecated alias for --backend batched; "
-                "pass only one of them"
-            )
-        warnings.warn(
-            "--batched is deprecated; use --backend batched instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        backend = "batched"
     if workers is not None:
         if backend is None or backend == "process":
             backend = f"process:{workers}"
@@ -293,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-json", default=None,
         help="Write per-replica outcomes to this JSON file.",
     )
-    _add_backend_arguments(montecarlo_parser, default="batched", legacy_batched=False)
+    _add_backend_arguments(montecarlo_parser, default="batched")
 
     crossover_parser = subparsers.add_parser(
         "crossover", help="Uniform vs non-uniform BFW speed-up factors."
@@ -302,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--diameters", type=int, nargs="+", default=[8, 16, 32]
     )
     crossover_parser.add_argument("--seeds", type=int, default=10)
-    _add_backend_arguments(crossover_parser, legacy_batched=False)
+    _add_backend_arguments(crossover_parser)
 
     lower_parser = subparsers.add_parser(
         "lower-bound", help="Section 5 lower-bound conjecture experiment."
@@ -345,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic_parser.add_argument("--master-seed", type=int, default=None)
     dynamic_parser.add_argument("--max-rounds", type=int, default=None)
     dynamic_parser.add_argument("--save-json", default=None)
-    _add_backend_arguments(dynamic_parser, default="batched", legacy_batched=False)
+    _add_backend_arguments(dynamic_parser, default="batched")
     _add_progress_arguments(dynamic_parser)
 
     extinction_parser = subparsers.add_parser(
@@ -379,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Round budget per replica (default: the capped dynamic budget).",
     )
     extinction_parser.add_argument("--save-json", default=None)
-    _add_backend_arguments(extinction_parser, default="batched", legacy_batched=False)
+    _add_backend_arguments(extinction_parser, default="batched")
     _add_progress_arguments(extinction_parser)
 
     wave_parser = subparsers.add_parser(

@@ -52,7 +52,6 @@ from repro.exec.backends import (
     ProcessBackend,
     SequentialBackend,
     resolve_backend,
-    resolve_backend_with_deprecated_batched,
 )
 from repro.exec.cells import (
     CellOutcome,
@@ -91,7 +90,6 @@ __all__ = [
     "execute_cell_sequential",
     "merge_cell_outcomes",
     "resolve_backend",
-    "resolve_backend_with_deprecated_batched",
     "resolve_shard_size",
     "split_cell",
 ]

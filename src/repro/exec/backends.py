@@ -27,9 +27,7 @@ processes.
 
 :func:`resolve_backend` turns a backend instance or a spec string
 (``"sequential"``, ``"batched"``, ``"process"``, ``"process:4"``) into a
-backend object; :func:`resolve_backend_with_deprecated_batched` additionally
-maps the legacy ``batched=`` boolean kwargs onto backends with a
-:class:`DeprecationWarning`.
+backend object.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import multiprocessing
 import os
 import queue as queue_module
 import threading
-import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -569,39 +566,3 @@ def resolve_backend(
     if kernel is not None:
         resolved.kernel = _validate_kernel(kernel)
     return resolved
-
-
-def resolve_backend_with_deprecated_batched(
-    backend: BackendSpec,
-    batched: Optional[bool],
-    default: BackendSpec = "sequential",
-    what: str = "batched=",
-    shard_size: ShardSize = None,
-    heartbeat_interval: Optional[int] = None,
-    kernel: Optional[str] = None,
-) -> ExecutionBackend:
-    """Resolve ``backend=`` while honouring the legacy ``batched=`` kwarg.
-
-    ``batched=True`` maps to :class:`BatchedBackend` and ``batched=False``
-    to :class:`SequentialBackend`, each with a :class:`DeprecationWarning`;
-    passing both ``backend=`` and ``batched=`` is an error.
-    """
-    if batched is not None:
-        warnings.warn(
-            f"{what} is deprecated; pass backend='batched' (or any backend "
-            f"spec / instance) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if backend is not None:
-            raise ConfigurationError(
-                "pass either backend= or the deprecated batched=, not both"
-            )
-        backend = "batched" if batched else "sequential"
-    return resolve_backend(
-        backend,
-        default=default,
-        shard_size=shard_size,
-        heartbeat_interval=heartbeat_interval,
-        kernel=kernel,
-    )

@@ -124,8 +124,8 @@ class ExecutionBackend(abc.ABC):
 
     #: Default round kernel (:mod:`repro.batch.kernels` spec) stamped
     #: onto cells that do not choose their own: ``None`` (cells keep
-    #: their engine's ``"auto"``), ``"numba"``, ``"numpy"``, ``"python"``
-    #: or ``"xp:<namespace>"``.  Records are kernel-invariant, so this
+    #: their engine's ``"auto"``), ``"numba"``, ``"numpy"`` or
+    #: ``"python"``.  Records are kernel-invariant, so this
     #: only changes how fast they arrive; ``resolve_backend`` sets this
     #: attribute when given a ``kernel``.
     kernel: Optional[str] = None

@@ -121,7 +121,7 @@ class ExecutionCell:
     kernel:
         Optional round-kernel spec for the batched engine
         (:func:`repro.batch.kernels.validate_kernel`: ``"auto"``,
-        ``"numba"``, ``"numpy"``, ``"python"`` or ``"xp:<namespace>"``).
+        ``"numba"``, ``"numpy"`` or ``"python"``).
         Pure data like every other field, so the setting travels to spawn
         workers and over the service wire.  Records are kernel-invariant
         (the parity suite pins every kernel byte-identical to the

@@ -27,7 +27,7 @@ from repro.exec import (
     BackendSpec,
     ExecutionCell,
     ShardSize,
-    resolve_backend_with_deprecated_batched,
+    resolve_backend,
 )
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.experiments.seeds import trial_seeds
@@ -113,7 +113,6 @@ def scaling_experiment(
     master_seed: int = 2,
     beep_probability: float = 0.5,
     max_rounds_factor: float = 200.0,
-    batched: Optional[bool] = None,
     backend: BackendSpec = None,
     shard_size: "ShardSize" = None,
     heartbeat_interval: Optional[int] = None,
@@ -145,17 +144,12 @@ def scaling_experiment(
         diameter in one state array, ``"process:N"`` shards diameters
         across worker processes).  The per-seed results — and therefore the
         fitted exponents — are bit-for-bit identical on every backend.
-    batched:
-        Deprecated shim for ``backend="batched"`` (emits a
-        :class:`DeprecationWarning`).
     """
     if mode not in ("uniform", "nonuniform"):
         raise ConfigurationError(f"mode must be 'uniform' or 'nonuniform'; got {mode!r}")
-    resolved = resolve_backend_with_deprecated_batched(
+    resolved = resolve_backend(
         backend,
-        batched,
         default="sequential",
-        what="scaling_experiment(batched=...)",
         shard_size=shard_size,
         heartbeat_interval=heartbeat_interval,
         kernel=kernel,
@@ -335,7 +329,6 @@ def lower_bound_experiment(
     master_seed: int = 4,
     beep_probability: float = 0.5,
     max_rounds_factor: float = 400.0,
-    batched: Optional[bool] = None,
     backend: BackendSpec = None,
     shard_size: "ShardSize" = None,
     heartbeat_interval: Optional[int] = None,
@@ -346,13 +339,10 @@ def lower_bound_experiment(
     The per-diameter cells (planted diametral leaders included) run on any
     :mod:`repro.exec` backend with bit-for-bit identical per-seed results,
     so the fitted exponent never changes — only the wall-clock does.
-    ``batched=True`` is a deprecated shim for ``backend="batched"``.
     """
-    resolved = resolve_backend_with_deprecated_batched(
+    resolved = resolve_backend(
         backend,
-        batched,
         default="sequential",
-        what="lower_bound_experiment(batched=...)",
         shard_size=shard_size,
         heartbeat_interval=heartbeat_interval,
         kernel=kernel,
@@ -470,7 +460,6 @@ def ablation_experiment(
     num_seeds: int = 10,
     master_seed: int = 5,
     max_rounds_factor: float = 150.0,
-    batched: Optional[bool] = None,
     backend: BackendSpec = None,
     shard_size: "ShardSize" = None,
     heartbeat_interval: Optional[int] = None,
@@ -481,13 +470,10 @@ def ablation_experiment(
     Every cell of the sweep (one value of ``p``, or one ablated variant)
     runs on the chosen :mod:`repro.exec` backend; the reported rates and
     round counts are identical to the per-seed loop on all of them.
-    ``batched=True`` is a deprecated shim for ``backend="batched"``.
     """
-    resolved = resolve_backend_with_deprecated_batched(
+    resolved = resolve_backend(
         backend,
-        batched,
         default="sequential",
-        what="ablation_experiment(batched=...)",
         shard_size=shard_size,
         heartbeat_interval=heartbeat_interval,
         kernel=kernel,

@@ -46,7 +46,7 @@ from repro.exec import (
     ProgressHook,
     ShardProgress,
     ShardSize,
-    resolve_backend_with_deprecated_batched,
+    resolve_backend,
 )
 from repro.experiments.config import SweepConfig, TrialConfig
 from repro.experiments.results import TrialRecord
@@ -273,7 +273,6 @@ def cell_progress_adapter(
 def run_sweep(
     sweep: SweepConfig,
     progress: Optional[Callable[[str], None]] = None,
-    batched: Optional[bool] = None,
     backend: BackendSpec = None,
     shard_size: "ShardSize" = None,
     heartbeat_interval: Optional[int] = None,
@@ -310,15 +309,10 @@ def run_sweep(
         :mod:`repro.batch.kernels` spec stamped onto cells that do not
         choose their own.  Records are byte-identical on every kernel;
         only the wall-clock changes.
-    batched:
-        Deprecated: ``batched=True`` is a shim for ``backend="batched"``
-        and emits a :class:`DeprecationWarning`.
     """
-    resolved = resolve_backend_with_deprecated_batched(
+    resolved = resolve_backend(
         backend,
-        batched,
         default="sequential",
-        what="run_sweep(batched=...)",
         shard_size=shard_size,
         heartbeat_interval=heartbeat_interval,
         kernel=kernel,

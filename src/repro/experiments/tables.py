@@ -32,7 +32,7 @@ from repro.exec import (
     BackendSpec,
     ExecutionCell,
     ShardSize,
-    resolve_backend_with_deprecated_batched,
+    resolve_backend,
 )
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig, SweepConfig
 from repro.experiments.results import CellSummary, TrialRecord, aggregate_records
@@ -163,7 +163,6 @@ def generate_table1(
     num_seeds: int = 10,
     master_seed: int = 1,
     progress=None,
-    batched: Optional[bool] = None,
     backend: BackendSpec = None,
     shard_size: "ShardSize" = None,
     heartbeat_interval: Optional[int] = None,
@@ -197,15 +196,10 @@ def generate_table1(
         Maximum seeds per work unit (int or ``"auto"`` =
         ``ceil(R / workers)``): lets ``process:N`` split each cell's seed
         list across workers, byte-identically.  ``None`` keeps whole cells.
-    batched:
-        Deprecated shim for ``backend="batched"`` (emits a
-        :class:`DeprecationWarning`).
     """
-    resolved = resolve_backend_with_deprecated_batched(
+    resolved = resolve_backend(
         backend,
-        batched,
         default="sequential",
-        what="generate_table1(batched=...)",
         shard_size=shard_size,
         heartbeat_interval=heartbeat_interval,
         kernel=kernel,

@@ -7,9 +7,13 @@ that every parity test — BFW variants, ablations, memory baselines, CLI
 round-trips — states it the same way:
 
 * constant-state :class:`~repro.core.protocol.BeepingProtocol` objects are
-  checked :class:`~repro.batch.engine.BatchedEngine` against
-  :class:`~repro.beeping.engine.VectorizedEngine` (including final state
-  vectors and elected-node identities);
+  checked against one-replica :class:`~repro.batch.engine.BatchedEngine`
+  runs on the uncompiled fused kernel (``kernel="python"``), the scalar
+  round body written independently of the interpreted numpy loop.  The
+  interpreted ``R > 1`` batch, the
+  :class:`~repro.beeping.engine.VectorizedEngine` façade and (with numba)
+  the compiled ``R > 1`` batch are each compared with it on their own
+  (final state vectors and elected-node identities included);
 * :class:`~repro.core.protocol.MemoryProtocol` baselines are checked
   against the per-node reference loop
   :func:`~repro.beeping.simulator.run_memory_reference` — both
@@ -35,6 +39,7 @@ family) that the backend parity tests sweep.
 import numpy as np
 
 from repro.batch import BatchedEngine, BatchedMemoryEngine, BatchTraceRecorder
+from repro.batch.kernels import numba_available
 from repro.batch.observers import ObserverSpec
 from repro.beeping.engine import VectorizedEngine
 from repro.beeping.simulator import MemorySimulator, run_memory_reference
@@ -125,20 +130,37 @@ def assert_replica_parity(topology, protocol, seeds=DEFAULT_SEEDS, **run_kwargs)
 
 
 def _assert_constant_state_parity(topology, protocol, seeds, **run_kwargs):
-    batch = BatchedEngine(topology, protocol).run(list(seeds), **run_kwargs)
-    for index, seed in enumerate(seeds):
-        engine = VectorizedEngine(topology, protocol)
-        single = engine.run(rng=seed, **run_kwargs)
-        assert_same_simulation_fields(batch.replica(index), single)
-        np.testing.assert_array_equal(batch.final_states[index], engine.last_states)
-        single_leaders = np.flatnonzero(
-            engine.compiled.is_leader[engine.last_states]
+    """Check each engine on its own against the fused-kernel oracle.
+
+    The oracle is one one-replica ``kernel="python"`` run per seed.  Checked
+    against it, replica by replica: the ``R > 1`` batch on the interpreted
+    numpy loop, the :class:`VectorizedEngine` façade (default kernel,
+    ``R = 1``), and — where numba is importable — the ``R > 1`` batch on
+    the compiled kernel.  (The uncompiled kernel's ``R > 1`` path is
+    pinned to the numpy batch by ``tests/batch/test_kernel_parity.py``.)
+    """
+    kernels = ("numpy", "numba") if numba_available() else ("numpy",)
+    batches = {
+        kernel: BatchedEngine(topology, protocol, kernel=kernel).run(
+            list(seeds), **run_kwargs
         )
-        if single.final_leader_count == 1:
-            assert batch.leader_node[index] == single_leaders[0]
-        else:
-            assert batch.leader_node[index] == -1
-    return batch
+        for kernel in kernels
+    }
+    for index, seed in enumerate(seeds):
+        oracle_engine = BatchedEngine(topology, protocol, kernel="python")
+        oracle = oracle_engine.run([seed], **run_kwargs)
+        assert oracle_engine.last_kernel["active"] == "python"
+        expected = oracle.replica(0)
+        for kernel, batch in batches.items():
+            assert_same_simulation_fields(batch.replica(index), expected)
+            np.testing.assert_array_equal(
+                batch.final_states[index], oracle.final_states[0], err_msg=kernel
+            )
+            assert batch.leader_node[index] == oracle.leader_node[0], kernel
+        engine = VectorizedEngine(topology, protocol)
+        assert_same_simulation_fields(engine.run(rng=seed, **run_kwargs), expected)
+        np.testing.assert_array_equal(engine.last_states, oracle.final_states[0])
+    return batches["numpy"]
 
 
 def assert_schedule_replica_parity(
@@ -151,6 +173,11 @@ def assert_schedule_replica_parity(
     spec, so the assertion also proves the schedule itself is deterministic
     across instances — the property that lets backends rebuild schedules
     inside worker processes without breaking parity.
+
+    Not an independent oracle: scheduled runs take the interpreted loop on
+    every kernel, and :class:`VectorizedEngine` is that loop at ``R = 1``.
+    What the comparison checks is the batch's active-subset path (replicas
+    retiring while others advance) against one-replica runs.
     """
     batch = BatchedEngine(
         topology, protocol, schedule=build_schedule(spec, topology)
@@ -187,6 +214,11 @@ def assert_trace_parity(
     ``spec`` optionally runs both engines under a topology schedule; each
     engine gets its own schedule instance built from the spec.  Returns the
     batch trace.
+
+    Not an independent oracle: observed runs take the interpreted loop on
+    every kernel, and :class:`VectorizedEngine` is that loop at ``R = 1``.
+    What the comparison checks is the ``R > 1`` recorder and active-subset
+    path against one-replica recordings.
     """
     recorder = BatchTraceRecorder()
     schedule = None if spec is None else build_schedule(spec, topology)

@@ -1,10 +1,12 @@
 """Batched-vs-single parity: the core guarantee of the batch subsystem.
 
 With matched per-replica seeds, replica ``r`` of a :class:`BatchedEngine`
-run must be bit-for-bit identical to ``VectorizedEngine.run(rng=seeds[r])``:
-same convergence round, same executed rounds, same final leader (node id),
-same leader-count trajectory.  This is what lets every sweep route through
-the batched engine without changing any reproduced number of the paper.
+run — and ``VectorizedEngine.run(rng=seeds[r])``, its one-replica façade —
+must be bit-for-bit identical to a one-replica run of the uncompiled fused
+kernel seeded ``seeds[r]``: same convergence round, same executed rounds,
+same final leader (node id), same leader-count trajectory.  This is what
+lets every sweep route through the batched engine without changing any
+reproduced number of the paper.
 
 The assertion itself lives in :mod:`tests.batch.parity_harness`, shared with
 the memory-baseline parity suite; this module covers the constant-state

@@ -107,6 +107,12 @@ def test_engine_rejects_bad_initial_states(bfw, small_path):
         engine.run(initial_states=[0] * (small_path.n + 1))
     with pytest.raises(SimulationError):
         engine.run(initial_states=[99] * small_path.n)
+    # 256 + s is no state, though narrowing it to int8 would wrap it into s.
+    for state in (0, 3, 5):
+        with pytest.raises(SimulationError, match="invalid state values"):
+            engine.run(
+                initial_states=np.full(small_path.n, 256 + state, dtype=np.int64)
+            )
 
 
 def test_engine_trace_consistent_with_leader_counts(bfw, small_cycle):

@@ -127,6 +127,19 @@ def test_malformed_submissions_are_400(service, body):
         pytest.fail("expected HTTP 400")
 
 
+def test_unknown_kernel_is_rejected_at_submit_time(service):
+    # Array-namespace specs ("xp:...") are not kernels: the submission is
+    # refused before any worker sees it, with an error naming the field.
+    body = {"cells": cells_to_payload([make_cell()]), "kernel": "xp:numpy"}
+    try:
+        _post(service.url, "/sweeps", body)
+    except urllib.error.HTTPError as error:
+        assert error.code == 400
+        assert "kernel" in json.loads(error.read())["error"]
+    else:  # pragma: no cover
+        pytest.fail("expected HTTP 400")
+
+
 def test_submission_by_raw_json_matches_client(service):
     # The wire format is plain JSON: curl-level submissions must work.
     status, receipt = _post(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 def test_no_command_prints_help_and_fails(capsys):
@@ -393,3 +394,34 @@ def test_extinction_command_backend_invariance(capsys):
     assert main(args + ["--backend", "batched"]) == 0
     batched = capsys.readouterr().out
     assert sequential == batched
+
+
+def test_workers_implies_process_backend(capsys):
+    argv = [
+        "lower-bound", "--diameters", "4", "8", "--seeds", "2", "--workers", "2",
+    ]
+    assert main(argv) == 0
+    process_out = capsys.readouterr().out
+    assert main(["lower-bound", "--diameters", "4", "8", "--seeds", "2"]) == 0
+    assert capsys.readouterr().out == process_out
+
+
+def test_workers_rejects_non_process_backends():
+    with pytest.raises(ConfigurationError):
+        main(
+            [
+                "scaling", "--mode", "nonuniform", "--diameters", "4",
+                "--seeds", "1", "--backend", "batched", "--workers", "2",
+            ]
+        )
+
+
+def test_removed_batched_flag_is_a_usage_error(capsys):
+    # --batched was an alias for --backend batched; it is gone, so argparse
+    # rejects it like any other unknown option.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table1", "--batched"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--batched" in err
