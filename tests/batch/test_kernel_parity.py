@@ -191,6 +191,16 @@ def test_validate_kernel_normalises_and_rejects():
             validate_kernel(spec)
 
 
+@pytest.mark.parametrize("spec", ["xp:numpy", "xp:definitely_not_installed"])
+def test_xp_specs_are_refused_at_engine_construction(spec):
+    # The array-namespace path is gone: such a spec fails where the engine
+    # is built, not in the middle of a run, whatever the namespace.
+    with pytest.raises(ConfigurationError, match="unknown kernel"):
+        resolve_kernel(spec)
+    with pytest.raises(ConfigurationError, match="unknown kernel"):
+        _engine(spec)
+
+
 def test_fused_kernel_is_plain_python_function():
     # The "python" kernel *is* the nopython kernel body, uncompiled — what
     # keeps the parity suite meaningful on machines without numba.

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.batch.engine import BatchedEngine
+from repro.batch.observers import BatchObserver
 from repro.beeping.adversary import planted_leaders_initial_states
 from repro.beeping.engine import VectorizedEngine, compile_protocol, run_bfw
 from repro.beeping.simulator import Simulator
@@ -10,8 +12,15 @@ from repro.core.bfw import BFWProtocol, NonUniformBFWProtocol
 from repro.core.protocol import BeepingProtocol, TransitionTable
 from repro.core.states import State
 from repro.core.variants import NoFreezeBFWProtocol
-from repro.errors import ProtocolError, SimulationError
-from repro.graphs.generators import clique_graph, cycle_graph, path_graph
+from repro.errors import ConfigurationError, ProtocolError, SimulationError
+from repro.graphs.generators import (
+    clique_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+)
+from repro.telemetry.heartbeat import HeartbeatEmitter, use_heartbeat
 
 
 def test_compile_bfw_tables():
@@ -167,3 +176,120 @@ def test_no_freeze_variant_compiles_and_runs():
     # The ablated protocol has no single-leader guarantee; we only require
     # that the engine executes it without error.
     assert result.rounds_executed >= 1
+
+
+# --------------------------------------------------------------------------- #
+# The one-replica façade over BatchedEngine
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [clique_graph(12), star_graph(10), grid_graph(3, 4)],
+    ids=["clique", "star", "grid"],
+)
+def test_facade_matches_the_uncompiled_kernel(bfw, topology):
+    # Independent oracle: the fused kernel body run uncompiled on a batch of
+    # one, a different round loop from the façade's default kernel.
+    engine = VectorizedEngine(topology, bfw)
+    for seed in range(3):
+        result = engine.run(rng=seed)
+        oracle = BatchedEngine(topology, bfw, kernel="python").run([seed])
+        assert result == oracle.replica(0)
+        np.testing.assert_array_equal(engine.last_states, oracle.final_states[0])
+
+
+def test_facade_generator_matches_its_integer_seed(bfw, small_cycle):
+    engine = VectorizedEngine(small_cycle, bfw)
+    seeded = engine.run(rng=11)
+    seeded_states = engine.last_states.copy()
+    from_generator = engine.run(rng=np.random.default_rng(11))
+    # Same stream, same run; only the provenance differs.
+    assert seeded.seed == 11
+    assert from_generator.seed is None
+    assert seeded.leader_counts == from_generator.leader_counts
+    assert seeded.convergence_round == from_generator.convergence_round
+    np.testing.assert_array_equal(engine.last_states, seeded_states)
+
+
+def test_facade_zero_round_budget_reports_the_initial_configuration(
+    bfw, small_path
+):
+    engine = VectorizedEngine(small_path, bfw)
+    result = engine.run(rng=1, max_rounds=0, record_trace=True)
+    assert result.rounds_executed == 0
+    assert not result.converged
+    assert result.leader_counts == (small_path.n,)
+    assert (engine.last_states == int(State.W_LEADER)).all()
+    assert result.trace is not None and result.trace.num_rounds == 0
+
+
+def test_facade_negative_budget_is_a_configuration_error(bfw, small_path):
+    with pytest.raises(ConfigurationError, match="max_rounds"):
+        VectorizedEngine(small_path, bfw).run(rng=1, max_rounds=-1)
+
+
+def test_facade_last_states_are_the_final_configuration(bfw, small_grid):
+    engine = VectorizedEngine(small_grid, bfw)
+    result = engine.run(rng=4, record_trace=True)
+    assert engine.last_states.dtype == np.int8
+    assert engine.last_states.shape == (small_grid.n,)
+    leaders = engine.compiled.is_leader[engine.last_states]
+    assert int(leaders.sum()) == result.final_leader_count
+    np.testing.assert_array_equal(
+        result.trace.states[-1], engine.last_states
+    )
+
+
+def test_facade_without_early_stop_spends_the_whole_budget(bfw, small_cycle):
+    engine = VectorizedEngine(small_cycle, bfw)
+    stopped = engine.run(rng=2)
+    full = engine.run(rng=2, max_rounds=300, stop_at_single_leader=False)
+    assert stopped.converged
+    assert full.rounds_executed == 300
+    assert len(full.leader_counts) == 301
+    # The early-stopped run is a prefix of the full one.
+    assert full.leader_counts[: len(stopped.leader_counts)] == stopped.leader_counts
+
+
+def test_facade_beep_counts_are_reset_by_a_run_without_them(bfw, small_path):
+    engine = VectorizedEngine(small_path, bfw)
+    engine.run(rng=5, record_beep_counts=True)
+    assert engine.last_beep_counts is not None
+    engine.run(rng=5)
+    assert engine.last_beep_counts is None
+
+
+class _RetireAt(BatchObserver):
+    """Retires the single replica after round ``stop`` and logs the hook."""
+
+    def __init__(self, stop):
+        self.stop = stop
+        self.retired = []
+
+    def should_retire(self, round_index, leaders, active_mask):
+        if round_index == self.stop:
+            return np.ones(active_mask.shape[0], dtype=bool)
+        return None
+
+    def on_retire(self, replicas, round_index):
+        self.retired.append((list(replicas), round_index))
+
+
+def test_facade_observer_retire_stops_the_run(bfw, small_path):
+    observer = _RetireAt(3)
+    result = VectorizedEngine(small_path, bfw).run(rng=0, observers=[observer])
+    assert result.rounds_executed == 3
+    assert not result.converged
+    assert len(result.leader_counts) == 4
+    assert observer.retired == [([0], 3)]
+
+
+def test_facade_heartbeats_carry_the_vectorized_label(bfw, small_cycle):
+    beats = []
+    with use_heartbeat(HeartbeatEmitter(1, beats.append)):
+        result = VectorizedEngine(small_cycle, bfw).run(rng=3)
+    assert beats
+    assert {beat.engine for beat in beats} == {"vectorized"}
+    assert all(beat.replicas == 1 for beat in beats)
+    assert beats[-1].round_index <= result.rounds_executed

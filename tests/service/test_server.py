@@ -127,10 +127,11 @@ def test_malformed_submissions_are_400(service, body):
         pytest.fail("expected HTTP 400")
 
 
-def test_unknown_kernel_is_rejected_at_submit_time(service):
+@pytest.mark.parametrize("kernel", ["xp:numpy", "xp:bogus", "fortran"])
+def test_unknown_kernel_is_rejected_at_submit_time(service, kernel):
     # Array-namespace specs ("xp:...") are not kernels: the submission is
     # refused before any worker sees it, with an error naming the field.
-    body = {"cells": cells_to_payload([make_cell()]), "kernel": "xp:numpy"}
+    body = {"cells": cells_to_payload([make_cell()]), "kernel": kernel}
     try:
         _post(service.url, "/sweeps", body)
     except urllib.error.HTTPError as error:

@@ -416,12 +416,23 @@ def test_workers_rejects_non_process_backends():
         )
 
 
-def test_removed_batched_flag_is_a_usage_error(capsys):
-    # --batched was an alias for --backend batched; it is gone, so argparse
-    # rejects it like any other unknown option.
+@pytest.mark.parametrize("command", ["table1", "scaling", "lower-bound", "ablation"])
+def test_removed_batched_flag_is_a_usage_error(command, capsys):
+    # --batched was an alias for --backend batched on these subcommands; it
+    # is gone, so argparse rejects it like any other unknown option.
     with pytest.raises(SystemExit) as excinfo:
-        main(["table1", "--batched"])
+        main([command, "--batched"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err
     assert "--batched" in err
+
+
+def test_xp_kernel_spec_is_refused_before_any_run():
+    with pytest.raises(ConfigurationError, match="unknown kernel"):
+        main(
+            [
+                "lower-bound", "--diameters", "4", "--seeds", "1",
+                "--kernel", "xp:numpy",
+            ]
+        )
