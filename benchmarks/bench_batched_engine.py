@@ -64,6 +64,14 @@ replica-for-replica identical to the loop:
   pure-Python kernel is probed at reduced size, informationally.  Writes
   ``BENCH_kernel.json`` (override with ``REPRO_BENCH_KERNEL_JSON``).
 
+* per-round cost of the interpreted loop (E20): fixed-horizon
+  ``kernel="numpy"`` runs (``stop_at_single_leader=False``, so every round
+  does the same work) at R = 1 on cycle(64) — per-call overhead — and at
+  R = 256 on torus(32×32) — data volume — reported as wall and process
+  CPU µs per round, best and median of several repetitions.  No gate;
+  writes ``BENCH_round_ops.json`` (override with
+  ``REPRO_BENCH_ROUND_OPS_JSON``).
+
 Setting ``REPRO_BENCH_FAST=1`` shrinks every workload (small R and n) and
 skips the speed-up assertions; CI uses it as a smoke mode so these scripts
 cannot silently rot without turning CI red on timing noise.
@@ -123,6 +131,11 @@ BENCH_OBSERVABILITY_JSON = os.environ.get(
 
 #: Where the fused-kernel case writes its machine-readable results.
 BENCH_KERNEL_JSON = os.environ.get("REPRO_BENCH_KERNEL_JSON", "BENCH_kernel.json")
+
+#: Where the per-round cost case writes its machine-readable results.
+BENCH_ROUND_OPS_JSON = os.environ.get(
+    "REPRO_BENCH_ROUND_OPS_JSON", "BENCH_round_ops.json"
+)
 
 #: Workers used by the process-backend sweep case.
 PROCESS_WORKERS = 2
@@ -1126,6 +1139,76 @@ def test_fused_kernel_rounds_per_sec(report):
             f"on the million-node cycle; measured "
             f"{wide['speedup_fused_vs_numpy']:.2f}x"
         )
+
+
+@pytest.mark.experiment("E20")
+def test_interpreted_round_cost(report):
+    """Wall and CPU µs per round of the interpreted (``numpy``) loop.
+
+    Two shapes at the ends of the loop's range: one replica of cycle(64),
+    where a round is a few dozen tiny array calls and per-call overhead is
+    the cost, and 256 replicas of torus(32×32), where a round moves
+    R·n = 262,144 states and data volume is the cost.  The horizon is fixed
+    and replicas never retire, so every repetition runs the same rounds.
+    """
+    import numpy as np
+
+    from repro.graphs.generators import torus_graph
+
+    shapes = [
+        ("cycle(64)", cycle_graph(64), 1, _size(2000, 200), 7),
+        ("torus(32x32)", torus_graph(32, 32), 256, _size(100, 10), 5),
+    ]
+    results = []
+    for graph, topology, replicas, rounds, repeats in shapes:
+        engine = BatchedEngine(topology, BFWProtocol(), kernel="numpy")
+        seeds = list(range(replicas))
+        run_kwargs = dict(
+            max_rounds=rounds,
+            stop_at_single_leader=False,
+            record_leader_counts=False,
+        )
+        engine.run(seeds, **run_kwargs)  # warm-up: caches and allocator
+        walls, cpus = [], []
+        for _ in range(repeats):
+            wall, cpu = time.perf_counter(), time.process_time()
+            batch = engine.run(seeds, **run_kwargs)
+            walls.append((time.perf_counter() - wall) / rounds * 1e6)
+            cpus.append((time.process_time() - cpu) / rounds * 1e6)
+        assert engine.last_kernel["active"] == "numpy"
+        assert int(batch.rounds_executed.min()) == rounds
+        results.append(
+            {
+                "graph": graph,
+                "replicas": replicas,
+                "rounds": rounds,
+                "repeats": repeats,
+                "wall_us_per_round_best": min(walls),
+                "wall_us_per_round_median": float(np.median(walls)),
+                "cpu_us_per_round_best": min(cpus),
+                "cpu_us_per_round_median": float(np.median(cpus)),
+            }
+        )
+
+    payload = {
+        "benchmark": "interpreted-round-cost",
+        "fast_mode": FAST,
+        "kernel": "numpy",
+        "results": results,
+    }
+    with open(BENCH_ROUND_OPS_JSON, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+    lines = [
+        f"{entry['graph']:13s} R={entry['replicas']:<4d} "
+        f"wall {entry['wall_us_per_round_best']:9.1f} µs/round best "
+        f"({entry['wall_us_per_round_median']:.1f} median)  "
+        f"cpu {entry['cpu_us_per_round_best']:9.1f} µs/round best"
+        for entry in results
+    ]
+    lines.append(f"json: {BENCH_ROUND_OPS_JSON}")
+    report("E20 — interpreted round cost (kernel=numpy)", "\n".join(lines))
 
 
 @pytest.mark.experiment("E12")

@@ -7,20 +7,26 @@ independently seeded replicas of the same (protocol, graph) cell.
 so every constant-state run — a sweep cell or a single seed — goes through
 the same code:
 
-* the states of ``R`` replicas live in one ``(R, n)`` int array;
-* the beep masks of all replicas are one gather, and "who hears a beep" is
-  one product of the adjacency (float32 CSR, or dense on small or dense
-  graphs — see :func:`dense_adjacency_preferred`) with the contiguous
-  ``(n, R)`` replica beep columns;
-* each transition is two lookups in the compiled protocol's flat tables
-  (``prob_by_code`` then ``next_by_code``);
-* every probabilistic transition of the round is resolved by one ``(R, n)``
-  uniform block, filled row by row from per-replica generator streams so
-  that each replica consumes exactly the randomness its standalone run
-  would;
-* replicas that reach a single-leader configuration are *retired in place*:
-  they drop out of the active index, stop consuming randomness, and stop
-  costing work, while the batch keeps advancing the stragglers.
+* the active replicas' states live in one node-major ``(n, A)`` unsigned
+  array (``A`` active replicas, one column each), every state bit-encoded
+  as ``state << 2 | leader << 1 | beeping`` (:func:`encode_protocol`), so
+  the beep columns and the leader counts are elementwise passes over it;
+* "who hears a beep" is one product of the adjacency (float32 CSR, or
+  dense on small or dense graphs — see :func:`dense_adjacency_preferred`)
+  with those ``(n, A)`` beep columns, in the layout the product wants;
+* each transition is one lookup of ``code = encoded << 1 | heard`` in a
+  deterministic successor table; a sentinel marks the codes whose
+  transition is random (for BFW, only a waiting leader that hears
+  nothing), and only those nodes read their uniform from the ``(R, n)``
+  per-round block — filled row by row from per-replica generator streams
+  so that each replica consumes exactly the randomness its standalone run
+  would.  Small blocks (:data:`SMALL_BLOCK_ELEMENTS`), where per-call
+  overhead rather than data volume sets the cost, take one dense coin
+  step with ``intp`` table gathers instead;
+* replicas that reach a single-leader configuration are retired: their
+  columns are compacted out of the block and their decoded rows written
+  into the ``(R, n)`` result, so they stop consuming randomness and stop
+  costing work while the batch keeps advancing the stragglers.
 
 A run takes one of two round paths: the fused scalar kernel of
 :mod:`repro.batch.kernels` (compiled with numba when available), or the
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -132,6 +139,134 @@ def hear_mask(beep_columns: np.ndarray, adjacency) -> np.ndarray:
     return (beep_columns + adjacency @ beep_columns) > 0
 
 
+#: Encoded blocks of at most this many elements (n times the number of
+#: active replicas) are held as intp and take the dense coin step of the
+#: interpreted round; larger ones are held in the protocol's narrow dtype
+#: and resolve coins only where a transition is random.  The README's
+#: "Small-block crossover" grid records the measurements behind the
+#: constant.
+SMALL_BLOCK_ELEMENTS = 4096
+
+
+def sized_block(encoded: np.ndarray) -> np.ndarray:
+    """An encoded ``(n, A)`` block, C-contiguous, in its size class's dtype.
+
+    Small blocks (:data:`SMALL_BLOCK_ELEMENTS`) become ``intp``, so their
+    table gathers skip numpy's per-call index conversion; larger ones keep
+    the narrow dtype of :func:`encode_protocol`.
+    """
+    if encoded.size <= SMALL_BLOCK_ELEMENTS:
+        return np.ascontiguousarray(encoded, dtype=np.intp)
+    return np.ascontiguousarray(encoded)
+
+
+@dataclass(frozen=True)
+class EncodedProtocol:
+    """A compiled protocol's tables over bit-encoded states.
+
+    The interpreted round loop stores each state ``s`` as ``s << 2 |
+    leader << 1 | beeping`` in the narrowest unsigned dtype that holds the
+    transition codes ``encoded << 1 | heard`` (``uint8`` up to 32 state
+    slots, ``uint16`` above), so the beep bit, the leader bit and the
+    transition code are elementwise operations on the encoded array.
+
+    Attributes
+    ----------
+    hot:
+        The sentinel (the dtype's maximum, never a valid encoding) that
+        :attr:`step` holds where a transition is random.
+    encode:
+        ``(num_states,)``: state value -> encoded state, in the narrow
+        dtype.
+    beep_f32:
+        ``(4 * num_states,)``: encoded state -> float32 beep indicator.
+    step:
+        ``(8 * num_states,)``: code -> encoded successor when the primary
+        probability ``p`` is ``>= 1`` (primary) or ``<= 0`` (secondary,
+        since every uniform satisfies ``u >= 0``), :attr:`hot` otherwise.
+    prob:
+        ``(8 * num_states,)``: code -> primary probability.
+    coin:
+        ``(16 * num_states,)``: ``2 * code + (u >= p)`` -> encoded successor
+        (``0`` = primary, ``1`` = secondary) as ``intp``, valid for every
+        code.
+    leader_ip:
+        ``(4 * num_states,)``: encoded state -> ``intp`` leader indicator.
+    step_bytes:
+        :attr:`step` padded to a 256-byte translation table (``uint8``
+        only, else ``None``).
+    """
+
+    hot: int
+    encode: np.ndarray
+    beep_f32: np.ndarray
+    step: np.ndarray
+    prob: np.ndarray
+    coin: np.ndarray
+    leader_ip: np.ndarray
+    step_bytes: Optional[bytes]
+
+    def leader_counts(self, encoded: np.ndarray) -> np.ndarray:
+        """Leaders per column of an encoded ``(n, A)`` block (int32)."""
+        return np.add.reduce(encoded & 2, axis=0, dtype=np.int32) >> 1
+
+    def step_of(self, codes: np.ndarray) -> np.ndarray:
+        """:attr:`step` at every code of a C-contiguous array, as a new array.
+
+        For ``uint8`` codes this is ``bytes.translate`` — one C loop over a
+        256-byte table, several times faster than ``take``, which converts
+        the indices to ``intp`` and bounds-checks every element.
+        """
+        if self.step_bytes is None:
+            return self.step.take(codes)
+        successors = bytearray(codes).translate(self.step_bytes)
+        return np.frombuffer(successors, dtype=np.uint8).reshape(codes.shape)
+
+
+def encode_protocol(compiled: CompiledProtocol) -> EncodedProtocol:
+    """The bit-encoded tables of ``compiled`` (see :class:`EncodedProtocol`).
+
+    Code slots whose leader/beeping bits disagree with their state are
+    never produced by the round loop; they carry the tables of their state
+    like the valid slot does.
+    """
+    num_states = compiled.num_states
+    dtype = np.uint8 if num_states <= 32 else np.uint16
+    hot = int(np.iinfo(dtype).max)
+    values = np.arange(num_states)
+    encode = (
+        (values << 2)
+        | (compiled.is_leader.astype(np.intp) << 1)
+        | compiled.is_beeping.astype(np.intp)
+    ).astype(dtype)
+    slots = np.arange(4 * num_states) >> 2  # encoded state -> state
+    # Encoded code -> the compiled flat code 2 * state + heard.
+    codes = np.arange(8 * num_states)
+    flat = (codes >> 3 << 1) | (codes & 1)
+    prob = compiled.prob_by_code[flat]
+    primary = encode[compiled.next_by_code[2 * flat]]
+    secondary = encode[compiled.next_by_code[2 * flat + 1]]
+    step = np.where(
+        prob >= 1.0, primary, np.where(prob <= 0.0, secondary, hot)
+    ).astype(dtype)
+    coin = np.stack((primary, secondary), axis=-1).reshape(-1)
+    step_bytes = None
+    if dtype is np.uint8:
+        padded = np.full(256, hot, dtype=np.uint8)
+        padded[: step.size] = step
+        step_bytes = padded.tobytes()
+    return EncodedProtocol(
+        hot=hot,
+        encode=encode,
+        beep_f32=compiled.is_beeping[slots].astype(np.float32),
+        step=step,
+        prob=prob,
+        coin=coin.astype(np.intp),
+        leader_ip=compiled.is_leader[slots].astype(np.intp),
+        step_bytes=step_bytes,
+    )
+
+
 class BatchedEngine:
     """Simulate ``R`` independent replicas of a compiled protocol at once.
 
@@ -217,15 +352,12 @@ class BatchedEngine:
         self._adjacency_dense_builds = 0
         self._adjacency_csr_builds = 0
         self._count_build(self._hear_adjacency)
-        # Batch-local table copies tuned for the hot loop: intp-typed
-        # successor tables make every gather conversion-free (numpy converts
-        # non-intp index arrays on each fancy-indexing call), and a float32
-        # beep lookup feeds the hear product without a per-round astype.
+        # The fused kernel's intp successor tables, and the bit-encoded
+        # tables of the interpreted loop.
         compiled = self._compiled
         self._succ_primary_ip = compiled.succ_primary.astype(np.intp)
         self._succ_secondary_ip = compiled.succ_secondary.astype(np.intp)
-        self._next_by_code_ip = compiled.next_by_code.astype(np.intp)
-        self._beep_f32 = compiled.is_beeping.astype(np.float32)
+        self._encoded = encode_protocol(compiled)
         # Swap cache for dynamic topologies: schedule graphs are deduplicated
         # objects, so one hear-adjacency compilation per distinct graph
         # serves every later round (and every replica) that revisits it.
@@ -432,13 +564,7 @@ class BatchedEngine:
         active = np.flatnonzero(active_mask)
 
         adjacency = self._hear_adjacency
-        beep_f32 = self._beep_f32
         is_leader = compiled.is_leader
-        succ_primary = self._succ_primary_ip
-        succ_secondary = self._succ_secondary_ip
-        primary_probability = compiled.primary_probability
-        prob_by_code = compiled.prob_by_code
-        next_by_code = self._next_by_code_ip
 
         # In-flight heartbeat: looked up once per run; None costs a single
         # is-not-None check per round, and beats never touch the replica
@@ -452,6 +578,7 @@ class BatchedEngine:
         # The depth formula lives in streams.prefetch_depth so the fused
         # kernels and this loop can never drift on buffer geometry.
         depth = prefetch_depth(num_replicas, n, self.RNG_BUFFER_BYTES)
+        rng_buffer = np.empty((depth, num_replicas, n), dtype=np.float64)
 
         # Kernel selection, once per run: the fused kernel executes a
         # whole RNG block per call, so any run needing per-round Python
@@ -472,18 +599,12 @@ class BatchedEngine:
                 kernel_fn, compile_seconds = compiled_fused_kernel()
             else:
                 kernel_fn = fused_round_block
-            # Initial states may be a read-only broadcast view; the kernel
-            # transitions rows in place, so materialise a contiguous batch
-            # (the interpreted loop rebinds `states` instead — same values).
-            if not states.flags.writeable or not states.flags.c_contiguous:
-                states = np.ascontiguousarray(states)
             indptr = np.ascontiguousarray(self._adjacency.indptr)
             indices = np.ascontiguousarray(self._adjacency.indices)
             record = count_rows is not None
             count_block = np.zeros(
                 (depth if record else 0, num_replicas), dtype=np.int64
             )
-            rng_buffer = np.empty((depth, num_replicas, n), dtype=np.float64)
             while round_index < max_rounds and active.size:
                 # Fill the whole block for every active replica — exactly
                 # the generator consumption of the interpreted loop, even
@@ -501,9 +622,9 @@ class BatchedEngine:
                         indices,
                         compiled.is_beeping,
                         is_leader,
-                        succ_primary,
-                        succ_secondary,
-                        primary_probability,
+                        self._succ_primary_ip,
+                        self._succ_secondary_ip,
+                        compiled.primary_probability,
                         rng_buffer,
                         round_index,
                         budget,
@@ -517,122 +638,163 @@ class BatchedEngine:
                         count_rows.append(count_block[offset].copy())
                 round_index += consumed
                 active = np.flatnonzero(active_mask)
-
-        rng_buffer = np.empty((depth, num_replicas, n), dtype=np.float64)
-        rng_position = depth
-
-        while round_index < max_rounds and active.size:
-            round_index += 1
-            full = active.size == num_replicas
-
-            sub = states if full else states[active]
-            if schedule is not None:
-                observed = sub[0] if schedule.state_aware else None
-                topology = schedule.topology_at(round_index, states=observed)
-                if topology.n != n:
-                    raise ConfigurationError(
-                        f"schedule changed the node count to {topology.n} in "
-                        f"round {round_index}; expected {n}"
+            if active.size:
+                counts[active] = is_leader[states[active]].sum(axis=1)
+        else:
+            # The interpreted loop: the active replicas' bit-encoded states
+            # as one node-major (n, A) array (see encode_protocol), so the
+            # beep columns, the transition codes and the leader counts are
+            # elementwise passes over it.  Retired replicas' columns are
+            # compacted out and their decoded rows written into `states`,
+            # the (R, n) result.
+            tables = self._encoded
+            encoded = sized_block(tables.encode.take(states[active].T))
+            rng_position = depth
+            while round_index < max_rounds and active.size:
+                round_index += 1
+                if schedule is not None:
+                    observed = (
+                        (encoded[:, 0] >> 2).astype(np.intp)
+                        if schedule.state_aware
+                        else None
                     )
-                adjacency = self._adjacency_for(topology)
-            # One product for the whole batch over contiguous replica
-            # columns: column r of the result is exactly what replica r's
-            # standalone run computes.
-            heard = hear_mask(
-                np.ascontiguousarray(beep_f32[sub].T), adjacency
-            ).T
-            # One flat lookup per transition: code = 2 * state + heard
-            # indexes the primary probability, and 2 * code + (u >= p)
-            # the successor — u >= p is exactly "not u < p", so the same
-            # uniforms pick the same successors as the two-table form.
-            code = 2 * sub + heard
-            probability = prob_by_code.take(code)
-            if rng_position == depth:
-                streams.fill_blocks(active, rng_buffer)
-                rng_position = 0
-            uniforms = (
-                rng_buffer[rng_position]
-                if full
-                else rng_buffer[rng_position, active]
-            )
-            rng_position += 1
-            new_states = next_by_code.take(2 * code + (uniforms >= probability))
-            if full:
-                states = new_states
-            else:
-                states[active] = new_states
-
-            active_counts = is_leader[new_states].sum(axis=1)
-            hit = active_counts == 1
-            if stop_at_single_leader:
-                # Hot path: a hit retires this round (an active replica can
-                # never carry an older streak — it would already have
-                # retired), so the streak bookkeeping degenerates to
-                # "convergence = retirement round" and per-round count
-                # writes are only needed when trajectories are recorded.
-                if count_rows is not None:
-                    counts[active] = active_counts
-                    count_rows.append(counts.copy())
-                retire = hit
-            else:
-                # Streak bookkeeping matching the standalone engine: a
-                # count of one sets the convergence round if unset;
-                # anything else clears it.  Retired rows stay frozen.
-                counts[active] = active_counts
-                if count_rows is not None:
-                    count_rows.append(counts.copy())
-                previous = convergence[active]
-                convergence[active] = np.where(
-                    hit, np.where(previous == -1, round_index, previous), -1
-                )
-                retire = np.zeros(active.size, dtype=bool)
-            if pipeline is not None:
-                requested = pipeline.observe_round(
-                    round_index,
-                    states,
-                    compiled.is_beeping[states],
-                    is_leader[states],
-                    active_mask.copy(),
-                )
-                if requested is not None:
-                    retire = retire | requested[active]
-            if retire.any():
-                # Retirement-time bookkeeping: a retiring replica stops
-                # consuming randomness and work from here on.
-                retired = active[retire]
+                    topology = schedule.topology_at(round_index, states=observed)
+                    if topology.n != n:
+                        raise ConfigurationError(
+                            f"schedule changed the node count to {topology.n} "
+                            f"in round {round_index}; expected {n}"
+                        )
+                    adjacency = self._adjacency_for(topology)
+                if rng_position == depth:
+                    streams.fill_blocks(active, rng_buffer)
+                    rng_position = 0
+                uniforms = rng_buffer[rng_position]
+                rng_position += 1
+                # One product for the whole batch over the replica columns:
+                # column j of the result is exactly what replica active[j]'s
+                # standalone run computes.  u >= p picks the secondary
+                # successor, exactly "not u < p" of the fused kernel.
+                if encoded.dtype == np.intp:
+                    # A small block (see sized_block): per-call overhead,
+                    # not data volume, sets the cost, so this step takes
+                    # the fewest calls — intp table gathers, and one coin
+                    # per node.
+                    heard = hear_mask(tables.beep_f32.take(encoded), adjacency)
+                    code = encoded + encoded
+                    code += heard
+                    if active.size < num_replicas:
+                        uniforms = uniforms[active]
+                    coins = uniforms.T >= tables.prob.take(code)
+                    code += code
+                    code += coins
+                    encoded = tables.coin.take(code)
+                    active_counts = np.add.reduce(
+                        tables.leader_ip.take(encoded), axis=0
+                    )
+                else:
+                    heard = hear_mask((encoded & 1).astype(np.float32), adjacency)
+                    # code = encoded << 1 | heard, as an add (uint8 shifts
+                    # are not vectorised) and an OR with the mask's bytes.
+                    code = np.add(encoded, encoded)
+                    code |= heard.view(np.uint8)
+                    # Deterministic successors in one lookup; only the nodes
+                    # whose transition is random (the hot sentinel) read a
+                    # uniform.
+                    encoded = tables.step_of(code)
+                    flat = np.flatnonzero(encoded == tables.hot)
+                    if flat.size:
+                        rows, cols = np.divmod(flat, encoded.shape[1])
+                        hot_code = code.ravel().take(flat).astype(np.intp)
+                        coins = uniforms[active.take(cols), rows] >= (
+                            tables.prob.take(hot_code)
+                        )
+                        encoded.ravel()[flat] = tables.coin.take(
+                            2 * hot_code + coins
+                        )
+                    active_counts = tables.leader_counts(encoded)
+                hit = active_counts == 1
                 if stop_at_single_leader:
-                    # Observers may retire replicas that did not converge;
-                    # only the hits carry a convergence round.
-                    convergence[retired] = np.where(hit[retire], round_index, -1)
-                    counts[retired] = active_counts[retire]
-                rounds_executed[retired] = round_index
-                active_mask[retired] = False
-                active = np.flatnonzero(active_mask)
+                    # Hot path: a hit retires this round (an active replica
+                    # can never carry an older streak — it would already
+                    # have retired), so the streak bookkeeping degenerates
+                    # to "convergence = retirement round" and per-round
+                    # count writes are only needed when trajectories are
+                    # recorded.
+                    if count_rows is not None:
+                        counts[active] = active_counts
+                        count_rows.append(counts.copy())
+                    retire = hit
+                else:
+                    # Streak bookkeeping matching the standalone engine: a
+                    # count of one sets the convergence round if unset;
+                    # anything else clears it.  Retired rows stay frozen.
+                    counts[active] = active_counts
+                    if count_rows is not None:
+                        count_rows.append(counts.copy())
+                    previous = convergence[active]
+                    convergence[active] = np.where(
+                        hit, np.where(previous == -1, round_index, previous), -1
+                    )
+                    retire = np.zeros(active.size, dtype=bool)
                 if pipeline is not None:
-                    pipeline.notify_retire(retired, round_index)
-            if heartbeat is not None and heartbeat.due(round_index):
-                # Retired rows carry their final round in rounds_executed;
-                # still-active rows have advanced round_index rounds each
-                # but are only written back at loop exit.
-                heartbeat.beat(
-                    engine=engine,
-                    round_index=round_index,
-                    replicas=num_replicas,
-                    active=int(active.size),
-                    converged=int((convergence >= 0).sum()),
-                    leaderless=int((active_counts == 0).sum()),
-                    rounds_advanced=int(
-                        rounds_executed.sum() + active.size * round_index
-                    ),
-                    kernel=kernel_label,
-                )
+                    # Observers see the whole (R, n) batch, retired rows
+                    # frozen: decode the active columns into it.
+                    states[active] = (encoded >> 2).T
+                    requested = pipeline.observe_round(
+                        round_index,
+                        states,
+                        compiled.is_beeping[states],
+                        is_leader[states],
+                        active_mask.copy(),
+                    )
+                    if requested is not None:
+                        retire = retire | requested[active]
+                if retire.any():
+                    # Retirement-time bookkeeping: a retiring replica stops
+                    # consuming randomness and work from here on, and its
+                    # column leaves the encoded block.
+                    retired = active[retire]
+                    if stop_at_single_leader:
+                        # Observers may retire replicas that did not
+                        # converge; only the hits carry a convergence round.
+                        convergence[retired] = np.where(
+                            hit[retire], round_index, -1
+                        )
+                        counts[retired] = active_counts[retire]
+                    rounds_executed[retired] = round_index
+                    states[retired] = (encoded[:, retire] >> 2).T
+                    keep = ~retire
+                    encoded = sized_block(np.compress(keep, encoded, axis=1))
+                    active = active[keep]
+                    active_mask[retired] = False
+                    if pipeline is not None:
+                        pipeline.notify_retire(retired, round_index)
+                if heartbeat is not None and heartbeat.due(round_index):
+                    # Retired rows carry their final round in
+                    # rounds_executed; still-active rows have advanced
+                    # round_index rounds each but are only written back at
+                    # loop exit.
+                    heartbeat.beat(
+                        engine=engine,
+                        round_index=round_index,
+                        replicas=num_replicas,
+                        active=int(active.size),
+                        converged=int((convergence >= 0).sum()),
+                        leaderless=int((active_counts == 0).sum()),
+                        rounds_advanced=int(
+                            rounds_executed.sum() + active.size * round_index
+                        ),
+                        kernel=kernel_label,
+                    )
+            if active.size:
+                states[active] = (encoded >> 2).T
+                counts[active] = tables.leader_counts(encoded)
 
         if active.size:
             # Replicas still active when the budget ran out (or that never
             # entered the loop) executed every round and keep their last
             # leader count.
             rounds_executed[active] = round_index
-            counts[active] = is_leader[states[active]].sum(axis=1)
 
         if pipeline is not None:
             pipeline.finish(rounds_executed.copy())
@@ -706,8 +868,8 @@ class BatchedEngine:
         num_replicas: int,
         n: int,
     ) -> np.ndarray:
-        # States are kept in intp so that every fancy-indexing gather of the
-        # hot loop avoids numpy's internal index-array conversion.
+        # The (R, n) state-value array the run reports in; intp, since the
+        # fused kernel and the initial encoding index tables with it.
         compiled = self._compiled
         if initial_states is None:
             return np.full(

@@ -36,6 +36,11 @@ from repro.errors import ProtocolError
 from repro.graphs.topology import Topology
 
 
+#: Largest state value :func:`compile_protocol` accepts: compiled tables,
+#: final states and traces hold state values as int8.
+MAX_STATE_VALUE = 127
+
+
 @dataclass(frozen=True)
 class CompiledProtocol:
     """Dense lookup-table representation of a two-outcome beeping protocol.
@@ -60,6 +65,15 @@ class CompiledProtocol:
         ``code = 2 * state + heard``, ``prob_by_code[code]`` is the primary
         probability and ``next_by_code[2 * code + (u >= p)]`` the successor
         chosen by uniform ``u`` (``0`` = primary, ``1`` = secondary).
+
+    The interpreted round loop of :class:`~repro.batch.engine.BatchedEngine`
+    does not index these tables by plain state values: it re-keys the flat
+    tables by bit-encoded states (``state << 2 | leader << 1 | beeping``,
+    see :func:`~repro.batch.engine.encode_protocol`), splitting them into
+    one deterministic successor table — with a sentinel where ``p`` lies
+    strictly between 0 and 1 — and the coin table read only by the nodes
+    whose transition is random.  The fused kernels read the 2-D tables.
+    State values are at most :data:`MAX_STATE_VALUE`.
     """
 
     num_states: int
@@ -90,9 +104,10 @@ def compile_protocol(protocol: BeepingProtocol) -> CompiledProtocol:
     Raises
     ------
     ProtocolError
-        If the protocol's states are not integer-valued, or if some transition
-        row has more than two outcomes (such protocols must use the reference
-        simulator instead).
+        If the protocol's states are not integer-valued, are negative or
+        exceed :data:`MAX_STATE_VALUE`, or if some transition row has more
+        than two outcomes (such protocols must use the reference simulator
+        instead).
     """
     protocol.validate()
     states = list(protocol.states())
@@ -105,6 +120,12 @@ def compile_protocol(protocol: BeepingProtocol) -> CompiledProtocol:
         ) from None
     if any(v < 0 for v in values):
         raise ProtocolError("state values must be non-negative for compilation")
+    if max(values) > MAX_STATE_VALUE:
+        raise ProtocolError(
+            f"protocol {protocol.name!r} has state value {max(values)}; the "
+            f"compiled engines store states as int8, so state values must be "
+            f"at most {MAX_STATE_VALUE}"
+        )
 
     num_states = max(values) + 1
     is_beeping = np.zeros(num_states, dtype=bool)

@@ -432,18 +432,22 @@ def kernel_parity_cells(
     return tuple(cells)
 
 
-def assert_kernel_record_parity(kernels, cells=None, shard_sizes=(None, 1, "auto")):
+def assert_kernel_record_parity(
+    kernels, cells=None, shard_sizes=(None, 1, "auto"), reference=None
+):
     """Assert every kernel produces the sequential loop's records exactly.
 
     The reference is the :class:`~repro.exec.SequentialBackend` (no kernel
-    seam at all — the per-trial loop).  Each kernel in ``kernels`` then
-    runs the same cells on a fresh ``"batched"`` backend with the kernel
-    stamped as the backend default, at every entry of ``shard_sizes``.
+    seam at all — the per-trial loop), run here unless ``reference`` passes
+    its records for ``cells`` in.  Each kernel in ``kernels`` then runs the
+    same cells on a fresh ``"batched"`` backend with the kernel stamped as
+    the backend default, at every entry of ``shard_sizes``.
     """
     if cells is None:
         cells = kernel_parity_cells()
     cells = tuple(cells)
-    reference = resolve_backend("sequential").run_cells(cells)
+    if reference is None:
+        reference = resolve_backend("sequential").run_cells(cells)
     for kernel in kernels:
         for shard_size in shard_sizes:
             backend = resolve_backend(

@@ -36,6 +36,7 @@ from repro.batch.streams import (
 from repro.core.registry import create_protocol
 from repro.dynamics import ScheduleSpec, build_schedule
 from repro.errors import ConfigurationError
+from repro.exec.cells import _build_cell
 from repro.experiments.tables import DEFAULT_TABLE1_GRAPHS
 from repro.graphs.generators import (
     clique_graph,
@@ -215,10 +216,37 @@ def test_fused_kernel_is_plain_python_function():
 
 
 def test_kernel_parity_full_matrix():
-    kernels = ["numpy", "python"]
+    # Every cell on the interpreted loop; the fused kernels only on the
+    # cells they can take — a scheduled run always falls back to the
+    # interpreted loop, so re-running those cells under a fused kernel
+    # would only repeat the numpy passes.
+    cells = kernel_parity_cells()
+    reference = assert_kernel_record_parity(["numpy"], cells=cells)
+    fused_kernels = ["python"]
     if numba_available():
-        kernels.append("numba")
-    assert_kernel_record_parity(kernels, cells=kernel_parity_cells())
+        fused_kernels.append("numba")
+    # Records come cell by cell, one per seed.
+    static, static_reference, start = [], [], 0
+    for cell in cells:
+        stop = start + len(cell.seeds)
+        if cell.schedule is None:
+            static.append(cell)
+            static_reference.extend(reference[start:stop])
+        start = stop
+    assert static and len(static) < len(cells)
+    assert_kernel_record_parity(
+        fused_kernels, cells=static, reference=tuple(static_reference)
+    )
+    for cell in cells:
+        if cell.schedule is None:
+            continue
+        topology, protocol, _, schedule = _build_cell(cell)
+        for kernel in fused_kernels:
+            engine = BatchedEngine(
+                topology, protocol, schedule=schedule, kernel=kernel
+            )
+            engine.run(list(cell.seeds), max_rounds=3)
+            assert engine.last_kernel["active"] == "numpy", cell.label
 
 
 @pytest.mark.skipif(

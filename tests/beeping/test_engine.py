@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.batch import engine as batch_engine
 from repro.batch.engine import BatchedEngine
 from repro.batch.observers import BatchObserver
 from repro.beeping.adversary import planted_leaders_initial_states
@@ -21,6 +22,9 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.telemetry.heartbeat import HeartbeatEmitter, use_heartbeat
+
+from tests.batch.parity_harness import assert_same_batch
+from tests.table_protocol import ring_protocol
 
 
 def test_compile_bfw_tables():
@@ -80,6 +84,40 @@ def test_compile_rejects_more_than_two_outcomes():
 
     with pytest.raises(ProtocolError):
         compile_protocol(ThreeWay())
+
+
+def test_compile_rejects_state_values_beyond_int8():
+    # State values are stored as int8; 128 used to escape as a bare numpy
+    # OverflowError from the successor tables.
+    compile_protocol(ring_protocol(128))  # values 0..127 fit
+    with pytest.raises(ProtocolError, match="at most 127"):
+        compile_protocol(ring_protocol(129))
+
+
+@pytest.mark.parametrize("small_block", [0, 10**9], ids=["sparse", "dense"])
+@pytest.mark.parametrize("stop", [True, False], ids=["stop", "budget"])
+def test_forty_state_protocol_matches_the_uncompiled_kernel(
+    stop, small_block, monkeypatch
+):
+    # 40 state slots do not fit the round loop's uint8 codes: this runs the
+    # uint16 encoding, through both coin steps, against the fused kernel.
+    monkeypatch.setattr(batch_engine, "SMALL_BLOCK_ELEMENTS", small_block)
+    topology = grid_graph(4, 5)
+    protocol = ring_protocol(40)
+    numpy_engine = BatchedEngine(topology, protocol, kernel="numpy")
+    assert numpy_engine._encoded.encode.dtype == np.uint16
+    oracle_engine = BatchedEngine(topology, protocol, kernel="python")
+    seeds = list(range(5))
+    reference = oracle_engine.run(
+        seeds, max_rounds=300, stop_at_single_leader=stop
+    )
+    batch = numpy_engine.run(seeds, max_rounds=300, stop_at_single_leader=stop)
+    assert_same_batch(reference, batch)
+    assert numpy_engine.last_kernel["active"] == "numpy"
+    assert oracle_engine.last_kernel["active"] == "python"
+    # The runs do something: leader counts move and states leave the start.
+    assert len({c for row in batch.leader_counts for c in row}) > 1
+    assert len(np.unique(batch.final_states)) > 1
 
 
 def test_engine_converges_on_standard_graphs(bfw):

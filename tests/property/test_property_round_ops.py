@@ -8,7 +8,10 @@
 * the flat transition tables ``prob_by_code`` / ``next_by_code`` must pick
   exactly the successor the 2-D ``succ_primary`` / ``succ_secondary`` /
   ``primary_probability`` tables pick, for every registered protocol and
-  every (state, heard, coin).
+  every (state, heard, coin);
+* the bit-encoded tables of the interpreted loop (``encode_protocol``)
+  must carry the flat tables' probabilities and successors, with the
+  deterministic-step sentinel exactly where a transition is random.
 """
 
 import numpy as np
@@ -16,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.engine import hear_adjacency, hear_mask
+from repro.batch.engine import encode_protocol, hear_adjacency, hear_mask
 from repro.beeping.engine import compile_protocol
 from repro.core.registry import available_protocols, create_protocol
 from repro.graphs.topology import Topology
+
+from tests.table_protocol import ring_protocol
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -158,3 +163,37 @@ def test_flat_lookup_picks_the_where_successor(name, diameter, seed, size):
     got = compiled.next_by_code.take(2 * code + (uniforms >= probability))
     assert got.dtype == compiled.succ_primary.dtype
     assert (got == expected).all()
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [create_protocol(name, diameter=5, n=12) for name in available_protocols()]
+    + [ring_protocol(32), ring_protocol(40)],
+    ids=lambda protocol: protocol.name,
+)
+def test_encoded_tables_match_flat_tables(protocol):
+    compiled = compile_protocol(protocol)
+    tables = encode_protocol(compiled)
+    narrow = np.uint8 if compiled.num_states <= 32 else np.uint16
+    assert tables.encode.dtype == tables.step.dtype == narrow
+    for state in range(compiled.num_states):
+        encoded = int(tables.encode[state])
+        assert encoded >> 2 == state
+        assert (encoded >> 1) & 1 == compiled.is_leader[state]
+        assert encoded & 1 == compiled.is_beeping[state]
+        assert tables.beep_f32[encoded] == compiled.is_beeping[state]
+        assert tables.leader_ip[encoded] == compiled.is_leader[state]
+        for heard in (0, 1):
+            flat = 2 * state + heard
+            code = encoded << 1 | heard
+            p = compiled.prob_by_code[flat]
+            assert tables.prob[code] == p
+            successors = [compiled.next_by_code[2 * flat + coin] for coin in (0, 1)]
+            for coin in (0, 1):
+                assert tables.coin[2 * code + coin] == tables.encode[successors[coin]]
+            if 0.0 < p < 1.0:
+                assert tables.step[code] == tables.hot
+            else:
+                assert tables.step[code] == tables.encode[successors[int(p <= 0.0)]]
+            if tables.step_bytes is not None:
+                assert tables.step_bytes[code] == tables.step[code]
