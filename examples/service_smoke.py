@@ -16,7 +16,10 @@ Against a running daemon (or one it boots itself), this script
 5. sends ``POST /sweeps`` with ``Content-Length: -1`` over a raw socket
    and asserts a 400 arrives within 5 s (the daemon must not block
    reading a body of negative length),
-6. prints the service counters.
+6. submits a sweep with ``shard_size: 0`` and asserts the 400 names the
+   shard size and ``GET /sweeps`` lists no new sweep (a refused
+   submission must leave nothing behind for a draining stop to wait on),
+7. prints the service counters.
 
 Run it against a daemon you started (CI does this)::
 
@@ -35,6 +38,7 @@ import sys
 import time
 from urllib.parse import urlsplit
 
+from repro.errors import ServiceError
 from repro.exec import ExecutionCell, SequentialBackend
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.experiments.seeds import trial_seeds
@@ -111,6 +115,30 @@ def check_negative_content_length(url: str, timeout: float = 5.0) -> None:
     print(f"hostile Content-Length: HTTP 400 in {elapsed * 1000:.0f} ms")
 
 
+def check_refused_shard_size(client: ServiceClient) -> None:
+    """A ``shard_size: 0`` submission is a 400 that registers no sweep.
+
+    The cell is one the daemon has not seen, so a sweep registered before
+    the refusal would never finish and a draining stop would wait on it.
+    """
+    fresh = ExecutionCell(
+        protocol=ProtocolSpecConfig(name="bfw"),
+        graph=GraphSpec(family="cycle", n=20),
+        seeds=trial_seeds(19, "service-smoke/refused/20", 4),
+    )
+    before = len(client.sweeps()["sweeps"])
+    try:
+        client.submit([fresh], shard_size=0)
+    except ServiceError as error:
+        message = str(error)
+    else:
+        raise AssertionError("a shard_size=0 submission was accepted")
+    assert "HTTP 400" in message and "shard size" in message, message
+    after = len(client.sweeps()["sweeps"])
+    assert after == before, f"a refused submission registered a sweep ({after})"
+    print(f"refused shard_size=0: {message}; no sweep registered")
+
+
 def run_smoke(url: str) -> None:
     client = ServiceClient(url)
     wait_for_healthz(client)
@@ -182,6 +210,7 @@ def run_smoke(url: str) -> None:
     print(f"live: {beats} in-flight progress event(s) before completion")
 
     check_negative_content_length(url)
+    check_refused_shard_size(client)
 
     print("service counters:")
     for name in sorted(after):

@@ -21,9 +21,12 @@ one outcome — byte-identical to the unsharded run.  For the process
 backend this is what spreads a *single* large cell (e.g. one montecarlo
 configuration with thousands of replicas) across all workers instead of
 pinning one core; ``shard_size="auto"`` picks ``ceil(R / workers)`` per
-cell.  Shards and whole small cells interleave in one work-unit list, and
-the pool is clamped to the number of work units, never spawning idle
-processes.
+cell.  Split → execute → merge → emit is written once, in
+:class:`ShardPlan`: shards and whole small cells interleave in one
+work-unit list that the in-process backends run inline,
+:class:`ProcessBackend` over ``pool.imap`` (the pool clamped to the
+number of units, never spawning idle processes) and the sweep service on
+its worker threads.
 
 :func:`resolve_backend` turns a backend instance or a spec string
 (``"sequential"``, ``"batched"``, ``"process"``, ``"process:4"``) into a
@@ -36,16 +39,18 @@ import multiprocessing
 import os
 import queue as queue_module
 import threading
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+)
 
-from repro.batch.kernels import validate_kernel
 from repro.errors import ConfigurationError
 from repro.exec.base import (
+    CellCompleted,
     ExecutionBackend,
     ProgressHook,
     ShardProgress,
-    emit_progress,
+    _validate_shard_size,
 )
 from repro.exec.cells import (
     CellOutcome,
@@ -58,59 +63,12 @@ from repro.exec.cells import (
     split_cell,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing-only
+    from repro.telemetry.heartbeat import Heartbeat
+
 #: What a caller may pass as ``backend=``: an instance, a spec string, or
 #: ``None`` for the entry point's default.
 BackendSpec = Union[ExecutionBackend, str, None]
-
-
-def _validate_shard_size(shard_size: ShardSize) -> ShardSize:
-    """Check a shard-size setting once at construction time.
-
-    ``"auto"`` stays symbolic (it resolves per cell against the worker
-    count); integers are normalised and validated here so a bad setting
-    fails fast instead of mid-sweep.
-    """
-    if shard_size is None:
-        return None
-    # Delegate validation; a symbolic "auto" resolves differently per cell,
-    # so only the integer result of a non-auto setting is kept.
-    resolved = resolve_shard_size(shard_size, num_replicas=1, workers=1)
-    if isinstance(shard_size, str) and shard_size.strip().lower() == "auto":
-        return "auto"
-    return resolved
-
-
-def _validate_heartbeat_interval(interval: Optional[int]) -> Optional[int]:
-    """Check a heartbeat interval once at construction time.
-
-    ``None`` keeps heartbeats off (the no-op fast path); anything else
-    must be a positive round count.
-    """
-    if interval is None:
-        return None
-    try:
-        value = int(interval)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"heartbeat interval must be a positive integer or None; "
-            f"got {interval!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"heartbeat interval must be >= 1; got {interval!r}"
-        )
-    return value
-
-
-def _validate_kernel(kernel: Optional[str]) -> Optional[str]:
-    """Check a backend-level kernel default once at construction time.
-
-    ``None`` leaves cells untouched (engines resolve their own
-    ``"auto"``); anything else must be a valid kernel spec.  Like the
-    cell field, availability is checked in the executing process, not
-    here — a client without numba may still target numba workers.
-    """
-    return validate_kernel(kernel)
 
 
 def _stamp_kernel(
@@ -128,12 +86,158 @@ def _stamp_kernel(
     return replace(cell, kernel=kernel)
 
 
-class _InProcessShardingMixin:
-    """Shared sharded run loop for the two in-process backends."""
+@dataclass(frozen=True)
+class WorkUnit:
+    """One schedulable piece of a sweep: shard ``shard_index`` of
+    ``shard_count`` of cell ``cell_index`` (the whole cell when the count
+    is 1)."""
 
-    shard_size: ShardSize = None
-    heartbeat_interval: Optional[int] = None
-    kernel: Optional[str] = None
+    cell_index: int
+    shard_index: int
+    shard_count: int
+    cell: ExecutionCell
+
+
+class ShardPlan:
+    """Split → execute → merge → emit, written once for every backend.
+
+    The plan stamps the backend's kernel default onto the cells, validates
+    the shard size, and splits cells into one flat list of
+    :class:`WorkUnit` objects — a cell's units contiguous and in shard order.
+    Executors run the units however they like (inline, over a process
+    pool, on service worker threads) and hand each outcome to
+    :meth:`finish`, in any order; the last shard of a cell to land returns
+    the cell's merged outcome.  The plan also builds every unit's progress
+    events, so all backends report the same events and records.
+    """
+
+    def __init__(
+        self,
+        cells: Sequence[ExecutionCell],
+        backend: str,
+        shard_size: ShardSize = None,
+        workers: int = 1,
+        kernel: Optional[str] = None,
+    ) -> None:
+        self.shard_size = _validate_shard_size(shard_size)
+        self.cells = tuple(_stamp_kernel(cell, kernel) for cell in cells)
+        self.backend = backend
+        self.workers = workers
+        self.units: List[WorkUnit] = []
+        self._landed: Dict[int, Dict[int, CellOutcome]] = {}
+
+    def split(self, cell_index: int) -> range:
+        """Append one cell's units; returns their indices in :attr:`units`."""
+        cell = self.cells[cell_index]
+        shards = split_cell(
+            cell,
+            resolve_shard_size(self.shard_size, cell.num_replicas, self.workers),
+        )
+        start = len(self.units)
+        self.units.extend(
+            WorkUnit(cell_index, shard_index, len(shards), shard)
+            for shard_index, shard in enumerate(shards)
+        )
+        return range(start, len(self.units))
+
+    def split_all(self) -> "ShardPlan":
+        """Split every cell (what backends without a result cache do)."""
+        for cell_index in range(len(self.cells)):
+            self.split(cell_index)
+        return self
+
+    def finish(
+        self, unit_index: int, outcome: CellOutcome
+    ) -> Optional[CellOutcome]:
+        """Record one unit's outcome; the cell's merged outcome once its
+        last shard has landed, else ``None``."""
+        unit = self.units[unit_index]
+        landed = self._landed.setdefault(unit.cell_index, {})
+        landed[unit.shard_index] = outcome
+        if len(landed) < unit.shard_count:
+            return None
+        del self._landed[unit.cell_index]
+        return merge_cell_outcomes(
+            self.cells[unit.cell_index],
+            [landed[shard_index] for shard_index in range(unit.shard_count)],
+        )
+
+    def shard_event(self, unit_index: int, outcome: CellOutcome) -> CellCompleted:
+        """The sub-progress event of one finished shard of a split cell."""
+        unit = self.units[unit_index]
+        return CellCompleted(
+            unit.cell_index,
+            len(self.cells),
+            outcome,
+            self.backend,
+            unit.shard_index,
+            unit.shard_count,
+        )
+
+    def cell_event(self, cell_index: int, outcome: CellOutcome) -> CellCompleted:
+        """The completion event of one whole cell."""
+        return CellCompleted(cell_index, len(self.cells), outcome, self.backend)
+
+    def beat_event(
+        self, unit_index: int, beat: "Heartbeat", attempt: int = 0
+    ) -> ShardProgress:
+        """The in-flight event of one heartbeat from inside a unit."""
+        unit = self.units[unit_index]
+        split = unit.shard_count > 1
+        return ShardProgress(
+            index=unit.cell_index,
+            total=len(self.cells),
+            backend=self.backend,
+            cell=unit.cell,
+            heartbeat=beat,
+            shard_index=unit.shard_index if split else None,
+            shard_count=unit.shard_count if split else None,
+            attempt=attempt,
+        )
+
+    def gather(
+        self,
+        outcomes: Iterable[CellOutcome],
+        progress: Optional[ProgressHook] = None,
+    ) -> Tuple[CellOutcome, ...]:
+        """Land every unit's outcome (``outcomes`` in unit order), emitting
+        shard and cell events; returns the merged outcomes in cell order."""
+        merged: List[Optional[CellOutcome]] = [None] * len(self.cells)
+        for unit_index, outcome in enumerate(outcomes):
+            unit = self.units[unit_index]
+            if progress is not None and unit.shard_count > 1:
+                progress(self.shard_event(unit_index, outcome))
+            whole = self.finish(unit_index, outcome)
+            if whole is not None:
+                merged[unit.cell_index] = whole
+                if progress is not None:
+                    progress(self.cell_event(unit.cell_index, whole))
+        return tuple(merged)  # type: ignore[arg-type]
+
+
+def _run_unit(
+    execute: Callable[[ExecutionCell], CellOutcome],
+    cell: ExecutionCell,
+    interval: Optional[int],
+    ship: Callable[["Heartbeat"], None],
+) -> CellOutcome:
+    """Execute one unit, shipping a heartbeat every ``interval`` rounds.
+
+    The no-op fast path: without an interval this is exactly
+    ``execute(cell)`` — no emitter is built and the engines see
+    ``current_heartbeat() is None``.
+    """
+    if interval is None:
+        return execute(cell)
+    from repro.telemetry.heartbeat import HeartbeatEmitter, use_heartbeat
+
+    with use_heartbeat(HeartbeatEmitter(interval, ship)):
+        return execute(cell)
+
+
+class _InlineBackend(ExecutionBackend):
+    """The two in-process backends: a plan's units run inline, in order."""
+
     #: Worker count used by the ``"auto"`` shard-size rule (in-process
     #: backends execute one unit at a time, so auto never splits for them).
     workers: int = 1
@@ -141,163 +245,85 @@ class _InProcessShardingMixin:
     def _execute(self, cell: ExecutionCell) -> CellOutcome:  # pragma: no cover
         raise NotImplementedError
 
-    def _execute_observed(
-        self,
-        shard: ExecutionCell,
-        progress: Optional[ProgressHook],
-        index: int,
-        total: int,
-        shard_index: Optional[int],
-        shard_count: Optional[int],
-    ) -> CellOutcome:
-        """Execute one unit, streaming heartbeats to ``progress`` if enabled.
-
-        The no-op fast path: without an interval (or without a hook to
-        deliver to) this is exactly ``self._execute(shard)`` — no emitter
-        is built and the engines see ``current_heartbeat() is None``.
-        """
-        if self.heartbeat_interval is None or progress is None:
-            return self._execute(shard)
-        from repro.telemetry.heartbeat import HeartbeatEmitter, use_heartbeat
-
-        def ship(beat) -> None:
-            progress(
-                ShardProgress(
-                    index=index,
-                    total=total,
-                    backend=self.name,
-                    cell=shard,
-                    heartbeat=beat,
-                    shard_index=shard_index,
-                    shard_count=shard_count,
-                )
-            )
-
-        emitter = HeartbeatEmitter(self.heartbeat_interval, ship)
-        with use_heartbeat(emitter):
-            return self._execute(shard)
-
     def run_cell_outcomes(
         self,
         cells: Sequence[ExecutionCell],
         progress: Optional[ProgressHook] = None,
     ) -> Tuple[CellOutcome, ...]:
-        cells = tuple(cells)
-        outcomes = []
-        for index, cell in enumerate(cells):
-            cell = _stamp_kernel(cell, self.kernel)
-            size = resolve_shard_size(
-                self.shard_size, cell.num_replicas, self.workers
-            )
-            shards = split_cell(cell, size)
-            shard_outcomes = []
-            for shard_index, shard in enumerate(shards):
-                shard_outcome = self._execute_observed(
-                    shard,
-                    progress,
-                    index,
-                    len(cells),
-                    shard_index if len(shards) > 1 else None,
-                    len(shards) if len(shards) > 1 else None,
+        plan = ShardPlan(
+            cells, self.name, self.shard_size, self.workers, self.kernel
+        ).split_all()
+        interval = None if progress is None else self.heartbeat_interval
+        return plan.gather(
+            (
+                _run_unit(
+                    self._execute,
+                    unit.cell,
+                    interval,
+                    lambda beat, index=index: progress(plan.beat_event(index, beat)),
                 )
-                shard_outcomes.append(shard_outcome)
-                if len(shards) > 1:
-                    emit_progress(
-                        progress,
-                        index,
-                        len(cells),
-                        shard_outcome,
-                        self.name,
-                        shard_index=shard_index,
-                        shard_count=len(shards),
-                    )
-            outcome = merge_cell_outcomes(cell, shard_outcomes)
-            outcomes.append(outcome)
-            emit_progress(progress, index, len(cells), outcome, self.name)
-        return tuple(outcomes)
+                for index, unit in enumerate(plan.units)
+            ),
+            progress,
+        )
 
 
-class SequentialBackend(_InProcessShardingMixin, ExecutionBackend):
-    """One seeded single-replica run per seed — the reference semantics."""
+class SequentialBackend(_InlineBackend):
+    """One seeded single-replica run per seed — the reference semantics.
+
+    ``kernel`` is kept for spec-threading symmetry: the sequential executor
+    is the kernel-independent reference, so the setting only rides along
+    on cells (engines it runs have no kernel seam).
+    """
 
     name = "sequential"
-
-    def __init__(
-        self,
-        shard_size: ShardSize = None,
-        heartbeat_interval: Optional[int] = None,
-        kernel: Optional[str] = None,
-    ):
-        self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = _validate_heartbeat_interval(heartbeat_interval)
-        # Kept for spec-threading symmetry: the sequential executor is the
-        # kernel-independent reference, so the setting only rides along on
-        # cells (engines it runs have no kernel seam).
-        self.kernel = _validate_kernel(kernel)
 
     def _execute(self, cell: ExecutionCell) -> CellOutcome:
         return execute_cell_sequential(cell)
 
 
-class BatchedBackend(_InProcessShardingMixin, ExecutionBackend):
+class BatchedBackend(_InlineBackend):
     """All replicas of each cell advance in one batched state array."""
 
     name = "batched"
-
-    def __init__(
-        self,
-        shard_size: ShardSize = None,
-        heartbeat_interval: Optional[int] = None,
-        kernel: Optional[str] = None,
-    ):
-        self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = _validate_heartbeat_interval(heartbeat_interval)
-        self.kernel = _validate_kernel(kernel)
 
     def _execute(self, cell: ExecutionCell) -> CellOutcome:
         return execute_cell_batched(cell)
 
 
-def _execute_cell_in_worker(cell: ExecutionCell) -> CellOutcome:
-    """Worker entry point: the batched cell path, importable by spawn."""
-    return execute_cell_batched(cell)
-
-
-#: Per-worker heartbeat wiring, populated by the pool initializer.  Module
+#: Per-worker heartbeat wiring, set by the pool initializer.  Module
 #: state (not closure state) because spawn workers import this module fresh
 #: and can only receive picklable initargs.
 _WORKER_HEARTBEAT: Dict[str, object] = {"interval": None, "queue": None}
 
 
-def _init_worker_heartbeat(interval: int, beat_queue: object) -> None:
-    """Pool initializer: arm heartbeats inside a spawned worker."""
+def _init_worker_heartbeat(interval: Optional[int], beat_queue: object) -> None:
+    """Pool initializer: arm (or disarm) heartbeats inside a spawned worker."""
     _WORKER_HEARTBEAT["interval"] = interval
     _WORKER_HEARTBEAT["queue"] = beat_queue
 
 
 def _execute_unit_in_worker(unit: Tuple[int, ExecutionCell]) -> CellOutcome:
-    """Worker entry point with heartbeats: ships beats over the shared queue.
+    """Worker entry point: the batched cell path, importable by spawn.
 
-    Beats are tagged with the flat unit index; the parent maps that back to
-    (cell, shard) — the worker knows nothing about sweep structure.  Queue
-    failures drop the beat: heartbeats are best-effort observability and
-    must never fail a shard.
+    With heartbeats armed, beats ship over the shared queue tagged with the
+    flat unit index; the parent's plan maps that back to (cell, shard) —
+    the worker knows nothing about sweep structure.  Queue failures drop
+    the beat: heartbeats are best-effort observability and must never fail
+    a shard.
     """
     unit_index, cell = unit
-    interval = _WORKER_HEARTBEAT["interval"]
     beat_queue = _WORKER_HEARTBEAT["queue"]
-    if interval is None or beat_queue is None:
-        return execute_cell_batched(cell)
-    from repro.telemetry.heartbeat import HeartbeatEmitter, use_heartbeat
 
     def ship(beat) -> None:
         try:
-            beat_queue.put_nowait((unit_index, beat))  # type: ignore[attr-defined]
+            beat_queue.put_nowait((unit_index, beat))  # type: ignore[union-attr]
         except Exception:
             pass
 
-    with use_heartbeat(HeartbeatEmitter(int(interval), ship)):
-        return execute_cell_batched(cell)
+    return _run_unit(
+        execute_cell_batched, cell, _WORKER_HEARTBEAT["interval"], ship  # type: ignore[arg-type]
+    )
 
 
 class ProcessBackend(ExecutionBackend):
@@ -343,13 +369,11 @@ class ProcessBackend(ExecutionBackend):
             raise ConfigurationError(f"workers must be >= 1; got {workers}")
         self.workers = int(workers)
         self.mp_context = mp_context
-        self.shard_size = _validate_shard_size(shard_size)
-        self.heartbeat_interval = _validate_heartbeat_interval(heartbeat_interval)
-        # Cells are stamped with this default before they ship to the
-        # pool, so each spawn worker resolves (and JIT-compiles) its
+        # Cells are stamped with the kernel default before they ship to
+        # the pool, so each spawn worker resolves (and JIT-compiles) its
         # kernel once per process — numba's cache=True makes the second
         # and later workers load the on-disk artifact instead.
-        self.kernel = _validate_kernel(kernel)
+        super().__init__(shard_size, heartbeat_interval, kernel)
         self.name = f"process:{self.workers}"
         self.last_pool_size: Optional[int] = None
 
@@ -358,31 +382,19 @@ class ProcessBackend(ExecutionBackend):
         cells: Sequence[ExecutionCell],
         progress: Optional[ProgressHook] = None,
     ) -> Tuple[CellOutcome, ...]:
-        cells = tuple(cells)
-        if not cells:
+        plan = ShardPlan(
+            cells, self.name, self.shard_size, self.workers, self.kernel
+        ).split_all()
+        if not plan.units:
             return ()
-        # Flatten cells into work units: (cell index, shard index, shard
-        # count, sub-cell), in cell order then shard order.  Whole small
-        # cells and the shards of large ones interleave in one list, so the
-        # pool drains them without idling on a long tail.
-        units: List[Tuple[int, int, int, ExecutionCell]] = []
-        stamped = tuple(_stamp_kernel(cell, self.kernel) for cell in cells)
-        for cell_index, cell in enumerate(stamped):
-            size = resolve_shard_size(
-                self.shard_size, cell.num_replicas, self.workers
-            )
-            shards = split_cell(cell, size)
-            for shard_index, shard in enumerate(shards):
-                units.append((cell_index, shard_index, len(shards), shard))
-        pool_size = min(self.workers, len(units))
+        pool_size = min(self.workers, len(plan.units))
         self.last_pool_size = pool_size
         context = multiprocessing.get_context(self.mp_context)
 
         # In-flight heartbeats: workers ship (unit_index, Heartbeat) pairs
-        # over one shared queue; a parent drain thread maps the unit index
-        # back to (cell, shard) and forwards ShardProgress events.  The
-        # emit lock keeps heartbeat delivery from interleaving with the
-        # ordered CellCompleted emissions of the main result loop.
+        # over one shared queue; a parent drain thread turns them into
+        # ShardProgress events.  The emit lock keeps heartbeat delivery
+        # from interleaving with the ordered CellCompleted emissions.
         heartbeating = self.heartbeat_interval is not None and progress is not None
         beat_queue = context.Queue() if heartbeating else None
         emit_lock = threading.Lock()
@@ -400,19 +412,9 @@ class ProcessBackend(ExecutionBackend):
                         continue
                     except (EOFError, OSError):  # queue torn down under us
                         return
-                    cell_index, shard_index, shard_count, shard = units[unit_index]
-                    event = ShardProgress(
-                        index=cell_index,
-                        total=len(cells),
-                        backend=self.name,
-                        cell=shard,
-                        heartbeat=beat,
-                        shard_index=shard_index if shard_count > 1 else None,
-                        shard_count=shard_count if shard_count > 1 else None,
-                    )
                     with emit_lock:
                         try:
-                            progress(event)
+                            progress(plan.beat_event(unit_index, beat))
                         except Exception:
                             # A raising hook must not kill in-flight
                             # delivery; completed-event errors still
@@ -424,59 +426,27 @@ class ProcessBackend(ExecutionBackend):
             )
             drain_thread.start()
 
-        outcomes = []
-        pending: Dict[int, List[CellOutcome]] = {}
+        def ordered(event) -> None:
+            with emit_lock:
+                progress(event)  # type: ignore[misc]
+
         try:
             with context.Pool(
                 processes=pool_size,
-                initializer=_init_worker_heartbeat if heartbeating else None,
+                initializer=_init_worker_heartbeat,
                 initargs=(
-                    (self.heartbeat_interval, beat_queue) if heartbeating else ()
+                    self.heartbeat_interval if heartbeating else None,
+                    beat_queue,
                 ),
             ) as pool:
-                results = (
+                return plan.gather(
                     pool.imap(
                         _execute_unit_in_worker,
-                        [
-                            (unit_index, unit[3])
-                            for unit_index, unit in enumerate(units)
-                        ],
+                        [(index, unit.cell) for index, unit in enumerate(plan.units)],
                         chunksize=1,
-                    )
-                    if heartbeating
-                    else pool.imap(
-                        _execute_cell_in_worker,
-                        [unit[3] for unit in units],
-                        chunksize=1,
-                    )
+                    ),
+                    None if progress is None else ordered,
                 )
-                for (cell_index, shard_index, shard_count, _), shard_outcome in zip(
-                    units, results
-                ):
-                    if shard_count > 1:
-                        with emit_lock:
-                            emit_progress(
-                                progress,
-                                cell_index,
-                                len(cells),
-                                shard_outcome,
-                                self.name,
-                                shard_index=shard_index,
-                                shard_count=shard_count,
-                            )
-                    pending.setdefault(cell_index, []).append(shard_outcome)
-                    if shard_index == shard_count - 1:
-                        # imap delivers in unit order, so a cell's shards
-                        # arrive consecutively; its last shard completes
-                        # the cell.
-                        outcome = merge_cell_outcomes(
-                            stamped[cell_index], pending.pop(cell_index)
-                        )
-                        outcomes.append(outcome)
-                        with emit_lock:
-                            emit_progress(
-                                progress, cell_index, len(cells), outcome, self.name
-                            )
         finally:
             if beat_queue is not None:
                 # Workers are done; anything still queued is drained (the
@@ -487,7 +457,6 @@ class ProcessBackend(ExecutionBackend):
                     drain_thread.join(timeout=5.0)
                 beat_queue.close()
                 beat_queue.cancel_join_thread()
-        return tuple(outcomes)
 
 
 def resolve_backend(
@@ -557,12 +526,5 @@ def resolve_backend(
             f"instance or one of 'sequential', 'batched', 'process[:N]', "
             f"'service:URL'"
         )
-    if shard_size is not None:
-        resolved.shard_size = _validate_shard_size(shard_size)
-    if heartbeat_interval is not None:
-        resolved.heartbeat_interval = _validate_heartbeat_interval(
-            heartbeat_interval
-        )
-    if kernel is not None:
-        resolved.kernel = _validate_kernel(kernel)
+    resolved.configure(shard_size, heartbeat_interval, kernel)
     return resolved

@@ -11,15 +11,21 @@ Progress reporting is backend-mediated: callers pass a ``progress`` callable
 that receives one :class:`CellCompleted` event per finished cell, again in
 deterministic cell order, carrying only that cell's outcome (so progress
 aggregation stays O(cell), not O(records so far)).
+
+Each event serialises itself with ``to_record()`` into the flat telemetry
+JSONL schema that ``--telemetry`` files and the sweep service's event
+stream share (``"cell"``, ``"shard"`` and ``"progress"`` records).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
-from repro.exec.cells import CellOutcome, ExecutionCell
+from repro.batch.kernels import validate_kernel
+from repro.errors import ConfigurationError
+from repro.exec.cells import CellOutcome, ExecutionCell, ShardSize, resolve_shard_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids a module cycle
     from repro.experiments.results import TrialRecord
@@ -34,10 +40,10 @@ class CellCompleted:
     backend, including process pools — ordered delivery is part of the
     backend contract, so progress output is reproducible too.
 
-    ``wall_seconds`` and ``rounds_advanced`` mirror the outcome's telemetry
+    ``wall_seconds`` and ``rounds_advanced`` read the outcome's telemetry
     (seconds the executing process spent on the cell, total replica-rounds
-    advanced); both are excluded from equality, like the outcome fields they
-    come from.
+    advanced); like the outcome fields they come from, they play no part
+    in equality.
 
     When a backend shards a cell's seed list (``shard_size``), it emits one
     *sub-progress* event per finished shard — ``shard_index`` / ``shard_count``
@@ -51,8 +57,6 @@ class CellCompleted:
     total: int
     outcome: CellOutcome
     backend: str
-    wall_seconds: Optional[float] = field(default=None, compare=False)
-    rounds_advanced: Optional[int] = field(default=None, compare=False)
     shard_index: Optional[int] = None
     shard_count: Optional[int] = None
 
@@ -60,6 +64,78 @@ class CellCompleted:
     def cell(self) -> ExecutionCell:
         """The cell this event reports on."""
         return self.outcome.cell
+
+    @property
+    def wall_seconds(self) -> Optional[float]:
+        return self.outcome.wall_seconds
+
+    @property
+    def rounds_advanced(self) -> int:
+        return self.outcome.rounds_advanced
+
+    @property
+    def mean_rounds(self) -> float:
+        """Mean over the replicas of the convergence round (rounds executed
+        for a replica that did not converge)."""
+        rounds = [
+            record.rounds_executed
+            if record.convergence_round is None
+            else record.convergence_round
+            for record in self.outcome.to_records()
+        ]
+        return float(sum(rounds)) / len(rounds)
+
+    def to_record(self) -> Dict[str, object]:
+        """The flat telemetry record: ``"shard"`` for shard sub-progress,
+        ``"cell"`` for a whole cell."""
+        cell = self.cell
+        if self.shard_index is not None:
+            return {
+                "event": "shard",
+                "index": self.index,
+                "total": self.total,
+                "shard": self.shard_index,
+                "shards": self.shard_count,
+                "backend": self.backend,
+                "protocol": cell.protocol.label,
+                "graph": cell.graph.label,
+                "replicas": cell.num_replicas,
+                "wall_seconds": self.wall_seconds,
+                "rounds_advanced": self.rounds_advanced,
+            }
+        return {
+            "event": "cell",
+            "index": self.index,
+            "total": self.total,
+            "backend": self.backend,
+            "protocol": cell.protocol.label,
+            "graph": cell.graph.label,
+            "n": self.outcome.n,
+            "diameter": self.outcome.diameter,
+            "replicas": cell.num_replicas,
+            "mean_rounds": self.mean_rounds,
+            "wall_seconds": self.wall_seconds,
+            "rounds_advanced": self.rounds_advanced,
+            "metrics": self.outcome.metrics,
+        }
+
+
+#: ``"progress"`` record keys and the :class:`Heartbeat` fields they carry.
+_BEAT_KEYS = (
+    ("engine", "engine"),
+    ("kernel", "kernel"),
+    ("round", "round_index"),
+    ("active", "active"),
+    ("converged", "converged"),
+    ("leaderless", "leaderless"),
+    ("rounds_advanced", "rounds_advanced"),
+    ("rounds_per_second", "rounds_per_second"),
+)
+
+
+def beat_fields(beat: "Heartbeat") -> Dict[str, object]:
+    """The heartbeat keys of ``"progress"`` records and service status rows."""
+    return {key: getattr(beat, name) for key, name in _BEAT_KEYS}
 
 
 @dataclass(frozen=True)
@@ -87,6 +163,54 @@ class ShardProgress:
     shard_count: Optional[int] = None
     attempt: int = 0
 
+    def to_record(self) -> Dict[str, object]:
+        """The flat ``"progress"`` telemetry record."""
+        return {
+            "event": "progress",
+            "index": self.index,
+            "total": self.total,
+            "shard": self.shard_index,
+            "shards": self.shard_count,
+            "attempt": self.attempt,
+            "backend": self.backend,
+            "protocol": self.cell.protocol.label,
+            "graph": self.cell.graph.label,
+            "replicas": self.cell.num_replicas,
+            **beat_fields(self.heartbeat),
+        }
+
+    @classmethod
+    def from_record(
+        cls,
+        record: Dict[str, object],
+        cells: Sequence[ExecutionCell],
+        backend: str,
+    ) -> "ShardProgress":
+        """Rebuild the event behind a ``"progress"`` record of a sweep over
+        ``cells`` (the inverse of :meth:`to_record`).
+
+        A record without a valid cell index raises ``KeyError``,
+        ``IndexError``, ``TypeError`` or ``ValueError``.
+        """
+        from repro.telemetry.heartbeat import Heartbeat
+
+        index = int(record["index"])  # type: ignore[arg-type]
+        heartbeat = Heartbeat(
+            replicas=record.get("replicas"),  # type: ignore[arg-type]
+            elapsed_seconds=0.0,
+            **{name: record.get(key) for key, name in _BEAT_KEYS},  # type: ignore[arg-type]
+        )
+        return cls(
+            index=index,
+            total=len(cells),
+            backend=backend,
+            cell=cells[index],
+            heartbeat=heartbeat,
+            shard_index=record.get("shard"),  # type: ignore[arg-type]
+            shard_count=record.get("shards"),  # type: ignore[arg-type]
+            attempt=record.get("attempt") or 0,  # type: ignore[arg-type]
+        )
+
 
 #: Either progress event a backend may deliver to the hook.
 ProgressEvent = Union[CellCompleted, ShardProgress]
@@ -95,6 +219,40 @@ ProgressEvent = Union[CellCompleted, ShardProgress]
 #: heartbeats keep working: backends only emit :class:`ShardProgress`
 #: when a ``heartbeat_interval`` is configured.
 ProgressHook = Callable[[ProgressEvent], None]
+
+
+def _validate_shard_size(shard_size: ShardSize) -> ShardSize:
+    """Check a shard-size setting once at construction time.
+
+    ``"auto"`` stays symbolic (it resolves per cell against the worker
+    count); integers are normalised and validated here so a bad setting
+    fails fast instead of mid-sweep.
+    """
+    if isinstance(shard_size, str) and shard_size.strip().lower() == "auto":
+        return "auto"
+    return resolve_shard_size(shard_size, num_replicas=1)
+
+
+def _validate_heartbeat_interval(interval: Optional[int]) -> Optional[int]:
+    """Check a heartbeat interval once at construction time.
+
+    ``None`` keeps heartbeats off (the no-op fast path); anything else
+    must be a positive round count.
+    """
+    if interval is None:
+        return None
+    try:
+        value = int(interval)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"heartbeat interval must be a positive integer or None; "
+            f"got {interval!r}"
+        ) from None
+    if value < 1:
+        raise ConfigurationError(
+            f"heartbeat interval must be >= 1; got {interval!r}"
+        )
+    return value
 
 
 class ExecutionBackend(abc.ABC):
@@ -130,6 +288,33 @@ class ExecutionBackend(abc.ABC):
     #: attribute when given a ``kernel``.
     kernel: Optional[str] = None
 
+    def __init__(
+        self,
+        shard_size: ShardSize = None,
+        heartbeat_interval: Optional[int] = None,
+        kernel: Optional[str] = None,
+    ) -> None:
+        self.configure(shard_size, heartbeat_interval, kernel)
+
+    def configure(
+        self,
+        shard_size: ShardSize = None,
+        heartbeat_interval: Optional[int] = None,
+        kernel: Optional[str] = None,
+    ) -> None:
+        """Validate and apply the three shared settings; ``None`` leaves a
+        setting as it is (how ``resolve_backend`` composes them).  Kernel
+        availability is checked where cells execute, not here: a client
+        without numba may still target numba workers."""
+        if shard_size is not None:
+            self.shard_size = _validate_shard_size(shard_size)
+        if heartbeat_interval is not None:
+            self.heartbeat_interval = _validate_heartbeat_interval(
+                heartbeat_interval
+            )
+        if kernel is not None:
+            self.kernel = validate_kernel(kernel)
+
     @abc.abstractmethod
     def run_cell_outcomes(
         self,
@@ -156,32 +341,3 @@ class ExecutionBackend(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
-
-
-def emit_progress(
-    progress: Optional[ProgressHook],
-    index: int,
-    total: int,
-    outcome: CellOutcome,
-    backend: str,
-    shard_index: Optional[int] = None,
-    shard_count: Optional[int] = None,
-) -> None:
-    """Deliver one :class:`CellCompleted` event if a hook is installed.
-
-    ``shard_index`` / ``shard_count`` mark the event as per-shard
-    sub-progress (sharding backends emit those before the per-cell event).
-    """
-    if progress is not None:
-        progress(
-            CellCompleted(
-                index=index,
-                total=total,
-                outcome=outcome,
-                backend=backend,
-                wall_seconds=outcome.wall_seconds,
-                rounds_advanced=outcome.rounds_advanced,
-                shard_index=shard_index,
-                shard_count=shard_count,
-            )
-        )

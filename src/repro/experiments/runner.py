@@ -226,7 +226,7 @@ def cell_progress_adapter(
             if callable(record_beat):
                 record_beat(event)
             return
-        if getattr(event, "shard_index", None) is not None:
+        if event.shard_index is not None:
             # Per-shard sub-progress (sharding backends only): one short
             # console line, and the telemetry stream gets a "shard" record.
             line = (
@@ -236,36 +236,21 @@ def cell_progress_adapter(
             )
             if event.wall_seconds is not None:
                 line += f" [{event.wall_seconds:.3f}s]"
-            progress(line)
-            record_event = getattr(progress, "cell_completed", None)
-            if callable(record_event):
-                record_event(event)
-            return
-        cell_records = event.outcome.to_records()
-        mean_rounds = float(
-            np.mean(
-                [
-                    record.convergence_round
-                    if record.convergence_round is not None
-                    else record.rounds_executed
-                    for record in cell_records
-                ]
+        else:
+            line = (
+                f"{event.cell.protocol.label:<28} {event.cell.graph.label:<18} "
+                f"mean rounds: {event.mean_rounds:10.1f}"
             )
-        )
-        line = (
-            f"{event.cell.protocol.label:<28} {event.cell.graph.label:<18} "
-            f"mean rounds: {mean_rounds:10.1f}"
-        )
-        if event.wall_seconds is not None:
-            line += f"  [{event.wall_seconds:7.3f}s"
-            if event.rounds_advanced is not None and event.wall_seconds > 0:
-                rate = event.rounds_advanced / event.wall_seconds
-                line += f", {rate:,.0f} replica-rounds/s"
-            line += "]"
+            if event.wall_seconds is not None:
+                line += f"  [{event.wall_seconds:7.3f}s"
+                if event.wall_seconds > 0:
+                    rate = event.rounds_advanced / event.wall_seconds
+                    line += f", {rate:,.0f} replica-rounds/s"
+                line += "]"
         progress(line)
         record_event = getattr(progress, "cell_completed", None)
         if callable(record_event):
-            record_event(event, mean_rounds=mean_rounds)
+            record_event(event)
 
     return on_cell
 

@@ -36,14 +36,13 @@ from repro.exec.base import (
     ProgressHook,
     ShardProgress,
 )
-from repro.exec.cells import CellOutcome, ExecutionCell
+from repro.exec.cells import CellOutcome, ExecutionCell, ShardSize
 from repro.service.wire import (
     JSON_CONTENT_TYPE,
     cells_to_payload,
     decode_outcome,
     dump_json,
 )
-from repro.telemetry.heartbeat import Heartbeat
 from repro.telemetry.progress import render_event
 
 __all__ = ["ServiceBackend", "ServiceClient", "normalise_url", "tail_service"]
@@ -223,24 +222,25 @@ class ServiceBackend(ExecutionBackend):
     — the same shape every local backend delivers.  And so is ``kernel``
     (``--kernel``): the spec rides the submission and resolves on the
     daemon's workers, where the engines actually run.
+
+    All three are validated here, like every local backend's, and the
+    constructor opens no connection.
     """
 
     def __init__(
         self,
         url: str,
-        shard_size: object = None,
+        shard_size: ShardSize = None,
         poll_timeout: float = 10.0,
         timeout: float = 60.0,
-        heartbeat_interval: object = None,
-        kernel: object = None,
+        heartbeat_interval: Optional[int] = None,
+        kernel: Optional[str] = None,
     ) -> None:
         self.client = ServiceClient(url, timeout=timeout)
         self.url = self.client.url
         self.name = f"service:{self.url}"
-        self.shard_size = shard_size
         self.poll_timeout = poll_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.kernel = kernel
+        super().__init__(shard_size, heartbeat_interval, kernel)
 
     def run_cell_outcomes(
         self,
@@ -260,6 +260,13 @@ class ServiceBackend(ExecutionBackend):
         outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
         reported = [False] * len(cells)  # a "cell" event has been walked
         next_emit = 0  # progress events must go out in cell order
+
+        def completed(index: int) -> None:
+            if progress is not None:
+                outcome = outcomes[index]
+                assert outcome is not None
+                progress(CellCompleted(index, len(cells), outcome, self.name))
+
         cursor = 0
         while True:
             poll = self.client.events(
@@ -277,14 +284,21 @@ class ServiceBackend(ExecutionBackend):
                 ],
             )
             for record in records:  # type: ignore[union-attr]
-                if record.get("event") == "progress":
-                    self._emit_progress(progress, record, cells)
+                if record.get("event") == "progress" and progress is not None:
+                    # In-flight beats carry no determinism contract, so a
+                    # malformed record is dropped rather than failing the
+                    # sweep.
+                    try:
+                        beat = ShardProgress.from_record(record, cells, self.name)
+                    except (KeyError, IndexError, TypeError, ValueError):
+                        continue
+                    progress(beat)
                     continue
                 if record.get("event") != "cell":
                     continue
                 reported[int(record["index"])] = True
                 while next_emit < len(cells) and reported[next_emit]:
-                    self._emit(progress, next_emit, len(cells), outcomes)
+                    completed(next_emit)
                     next_emit += 1
             if poll.get("done"):
                 state = poll.get("state")
@@ -296,9 +310,8 @@ class ServiceBackend(ExecutionBackend):
                 break
         # Cached cells may predate polling.
         self._fetch(sweep_id, outcomes, range(len(cells)))
-        while next_emit < len(cells):
-            self._emit(progress, next_emit, len(cells), outcomes)
-            next_emit += 1
+        for index in range(next_emit, len(cells)):
+            completed(index)
         return tuple(outcomes)  # type: ignore[return-value]
 
     def _fetch(
@@ -319,73 +332,6 @@ class ServiceBackend(ExecutionBackend):
             chunk = missing[start:start + _MAX_CELLS_PER_REQUEST]
             for index, outcome in self.client.outcomes(sweep_id, chunk).items():
                 outcomes[index] = outcome
-
-    def _emit_progress(
-        self,
-        progress: Optional[ProgressHook],
-        record: Dict[str, object],
-        cells: Sequence[ExecutionCell],
-    ) -> None:
-        """Re-materialise a ``"progress"`` event as a ShardProgress.
-
-        In-flight beats carry no determinism contract, so a malformed
-        record is dropped rather than failing the sweep.
-        """
-        if progress is None:
-            return
-        try:
-            index = int(record["index"])  # type: ignore[arg-type]
-            cell = cells[index]
-            kernel = record.get("kernel")
-            heartbeat = Heartbeat(
-                engine=str(record.get("engine", "?")),
-                kernel=None if kernel is None else str(kernel),
-                round_index=int(record.get("round", 0)),  # type: ignore[arg-type]
-                replicas=int(record.get("replicas", 0)),  # type: ignore[arg-type]
-                active=int(record.get("active", 0)),  # type: ignore[arg-type]
-                converged=int(record.get("converged", 0)),  # type: ignore[arg-type]
-                leaderless=int(record.get("leaderless", 0)),  # type: ignore[arg-type]
-                rounds_advanced=int(record.get("rounds_advanced", 0)),  # type: ignore[arg-type]
-                rounds_per_second=float(record.get("rounds_per_second", 0.0)),  # type: ignore[arg-type]
-                elapsed_seconds=0.0,
-            )
-            shard = record.get("shard")
-            shards = record.get("shards")
-            event = ShardProgress(
-                index=index,
-                total=len(cells),
-                backend=self.name,
-                cell=cell,
-                heartbeat=heartbeat,
-                shard_index=None if shard is None else int(shard),  # type: ignore[arg-type]
-                shard_count=None if shards is None else int(shards),  # type: ignore[arg-type]
-                attempt=int(record.get("attempt", 0) or 0),  # type: ignore[arg-type]
-            )
-        except (KeyError, IndexError, TypeError, ValueError):
-            return
-        progress(event)
-
-    def _emit(
-        self,
-        progress: Optional[ProgressHook],
-        index: int,
-        total: int,
-        outcomes: Sequence[Optional[CellOutcome]],
-    ) -> None:
-        if progress is None:
-            return
-        outcome = outcomes[index]
-        assert outcome is not None
-        progress(
-            CellCompleted(
-                index=index,
-                total=total,
-                outcome=outcome,
-                backend=self.name,
-                wall_seconds=outcome.wall_seconds,
-                rounds_advanced=outcome.rounds_advanced,
-            )
-        )
 
 
 def tail_service(

@@ -2,11 +2,12 @@
 
 :class:`SweepService` turns the execution layer into "repro as a service":
 clients POST sweeps of :class:`~repro.exec.ExecutionCell` specs, the
-daemon splits each cell into shard jobs (:func:`~repro.exec.split_cell`),
-a pool of worker threads executes them through the in-process batched
-executor, and the shard outcomes are merged back byte-identically
-(:func:`~repro.exec.merge_cell_outcomes`) — the same parity contract every
-local backend honours, now across an HTTP boundary.
+daemon splits each uncached cell into shard jobs with the same
+:class:`~repro.exec.backends.ShardPlan` every local backend uses, a pool
+of worker threads executes them through the in-process batched executor,
+and the plan merges the shard outcomes back byte-identically — the same
+parity contract every local backend honours, now across an HTTP
+boundary.
 
 HTTP API (all JSON, see :mod:`repro.service.wire`):
 
@@ -73,7 +74,7 @@ import threading
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -81,14 +82,17 @@ from urllib.parse import parse_qs, urlsplit
 from repro._version import __version__
 from repro.batch.kernels import validate_kernel
 from repro.errors import ConfigurationError, ReproError, ServiceError
+from repro.exec.backends import ShardPlan, WorkUnit
+from repro.exec.base import (
+    _validate_heartbeat_interval,
+    _validate_shard_size,
+    beat_fields,
+)
 from repro.exec.cells import (
     CellOutcome,
     ExecutionCell,
     cell_signature,
     execute_cell_batched,
-    merge_cell_outcomes,
-    resolve_shard_size,
-    split_cell,
 )
 from repro.service.cache import ResultCache
 from repro.service.faults import ServiceFaultInjector
@@ -121,38 +125,18 @@ _MAX_BODY_BYTES = 32 * 1024 * 1024
 _SHARD_WALL_BUCKETS = (0.01, 0.05, 0.25, 1.0, 5.0, 30.0, 120.0)
 
 
-def _validate_interval(interval: object) -> Optional[int]:
-    """Coerce a heartbeat interval (None passes through, else int >= 1)."""
-    if interval is None:
-        return None
-    try:
-        value = int(interval)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"heartbeat_interval must be a positive integer or null; "
-            f"got {interval!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"heartbeat_interval must be >= 1; got {value}"
-        )
-    return value
-
-
 @dataclass
 class _Shard:
-    """One schedulable unit: a sub-cell of one submitted cell."""
+    """The service's state for one unit of a sweep's :class:`ShardPlan`:
+    cache key, attempt token, retries, watchdog clock and spans."""
 
-    cell_index: int
-    shard_index: int
-    shard_count: int
-    cell: ExecutionCell
+    index: int  # position in the plan's units (and in ``_Sweep.shards``)
+    unit: WorkUnit
     signature: str
     state: str = "pending"  # pending | running | done
     attempt: int = 0  # token; completions from older attempts are stale
     retries: int = 0  # re-queues consumed (crash or timeout)
     deadline: Optional[float] = None
-    outcome: Optional[CellOutcome] = None
     last_heartbeat: Optional[Heartbeat] = None
     last_beat_monotonic: Optional[float] = None  # liveness clock
     last_progress_emit: float = 0.0  # event-stream throttle clock
@@ -165,8 +149,7 @@ class _Sweep:
     """Book-keeping for one submitted sweep."""
 
     id: str
-    cells: Tuple[ExecutionCell, ...]
-    shards: List[List[_Shard]]
+    plan: ShardPlan
     outcomes: List[Optional[CellOutcome]]
     cell_cached: List[bool]
     # For cells served from the result cache, the cache's own stored
@@ -181,6 +164,12 @@ class _Sweep:
     spans: SpanRecorder = field(default_factory=SpanRecorder)
     span_id: Optional[str] = None  # the root sweep span
     cell_span_ids: List[Optional[str]] = field(default_factory=list)
+    # One entry per unit of ``plan`` (cached cells are never split).
+    shards: List[_Shard] = field(default_factory=list)
+
+    @property
+    def cells(self) -> Tuple[ExecutionCell, ...]:
+        return self.plan.cells
 
     @property
     def completed_cells(self) -> int:
@@ -254,9 +243,9 @@ class SweepService:
         self.workers = int(workers)
         self.max_retries = int(max_retries)
         self.shard_timeout = shard_timeout
-        self.default_shard_size = default_shard_size
+        self.default_shard_size = _validate_shard_size(default_shard_size)
         self.fault_injector = fault_injector
-        self.heartbeat_interval = _validate_interval(heartbeat_interval)
+        self.heartbeat_interval = _validate_heartbeat_interval(heartbeat_interval)
         self.progress_throttle = float(progress_throttle)
         self.kernel = validate_kernel(kernel)
         self.cache = ResultCache(cache_dir)
@@ -265,7 +254,7 @@ class SweepService:
         self._lock = threading.RLock()
         self._condition = threading.Condition(self._lock)
         self._sweeps: Dict[str, _Sweep] = {}
-        self._queue: "queue.Queue[Tuple[str, int, int, int]]" = queue.Queue()
+        self._queue: "queue.Queue[Tuple[str, int, int]]" = queue.Queue()
         self._metrics = MetricsRegistry()  # guarded by self._lock
         self._engine_metrics: Optional[Dict[str, Dict[str, float]]] = None
         self._stop_event = threading.Event()
@@ -391,29 +380,25 @@ class SweepService:
         cells = tuple(cells)
         if not cells:
             raise ConfigurationError("a sweep needs at least one cell")
-        if shard_size is None:
-            shard_size = self.default_shard_size
-        interval = _validate_interval(heartbeat_interval)
-        if interval is None:
-            interval = self.heartbeat_interval
-        sweep_kernel = validate_kernel(
-            None if kernel is None else str(kernel)
+        interval = (
+            _validate_heartbeat_interval(heartbeat_interval)
+            or self.heartbeat_interval
         )
-        if sweep_kernel is None:
-            sweep_kernel = self.kernel
-        if sweep_kernel is not None:
-            cells = tuple(
-                cell if cell.kernel is not None
-                else replace(cell, kernel=sweep_kernel)
-                for cell in cells
-            )
+        # The plan validates the shard size, so a refused submission is
+        # refused before anything is registered.
+        plan = ShardPlan(
+            cells,
+            "service",
+            self.default_shard_size if shard_size is None else shard_size,
+            self.workers,
+            validate_kernel(None if kernel is None else str(kernel)) or self.kernel,
+        )
         with self._condition:
             if self._draining:
                 raise ServiceError("service is draining; not accepting sweeps")
             sweep = _Sweep(
                 id=uuid.uuid4().hex[:12],
-                cells=cells,
-                shards=[[] for _ in cells],
+                plan=plan,
                 outcomes=[None for _ in cells],
                 cell_cached=[False for _ in cells],
                 payloads=[None for _ in cells],
@@ -435,12 +420,12 @@ class SweepService:
                         "replicas": cell.num_replicas,
                     },
                 )
-                for cell_index, cell in enumerate(cells)
+                for cell_index, cell in enumerate(plan.cells)
             ]
             self._sweeps[sweep.id] = sweep
             self._metrics.count("service.sweeps_submitted")
             self._metrics.count("service.cells_submitted", len(cells))
-            for cell_index, cell in enumerate(cells):
+            for cell_index, cell in enumerate(plan.cells):
                 signature = cell_signature(cell)
                 entry = self.cache.get_entry(signature)
                 if entry is not None:
@@ -450,26 +435,22 @@ class SweepService:
                     sweep.spans.finish(
                         sweep.cell_span_ids[cell_index], attrs={"cached": True}
                     )
-                    self._emit_cell_event(sweep, cell_index, cached, cached=True)
+                    self._emit_cell_event(sweep, cell_index, cached, True, 0)
                     continue
-                resolved = resolve_shard_size(
-                    shard_size, cell.num_replicas, self.workers
-                )
-                sub_cells = split_cell(cell, resolved)
-                sweep.shards[cell_index] = [
-                    _Shard(
-                        cell_index=cell_index,
-                        shard_index=shard_index,
-                        shard_count=len(sub_cells),
-                        cell=sub_cell,
-                        signature=cell_signature(sub_cell),
+                for index in plan.split(cell_index):
+                    unit = plan.units[index]
+                    sweep.shards.append(
+                        _Shard(
+                            index=index,
+                            unit=unit,
+                            signature=(
+                                signature
+                                if unit.cell is cell
+                                else cell_signature(unit.cell)
+                            ),
+                        )
                     )
-                    for shard_index, sub_cell in enumerate(sub_cells)
-                ]
-                for shard in sweep.shards[cell_index]:
-                    self._queue.put(
-                        (sweep.id, shard.cell_index, shard.shard_index, 0)
-                    )
+                    self._queue.put((sweep.id, index, 0))
             self._finish_if_complete(sweep)
             self._condition.notify_all()
             return sweep.id
@@ -489,21 +470,30 @@ class SweepService:
             except BaseException:  # never let a worker thread die silently
                 traceback.print_exc()
 
-    def _run_one(
-        self, sweep_id: str, cell_index: int, shard_index: int, attempt: int
-    ) -> None:
+    def _current(
+        self, sweep_id: str, index: int, attempt: int, state: str = "running"
+    ) -> Optional[Tuple[_Sweep, _Shard]]:
+        """The live sweep and shard an attempt in ``state`` reports on, or
+        ``None`` for a finished sweep or a superseded attempt (lock held)."""
+        sweep = self._sweeps.get(sweep_id)
+        if sweep is None or sweep.state in _TERMINAL_STATES:
+            return None
+        shard = sweep.shards[index]
+        if shard.attempt != attempt or shard.state != state:
+            return None
+        return sweep, shard
+
+    def _run_one(self, sweep_id: str, index: int, attempt: int) -> None:
         with self._lock:
-            sweep = self._sweeps.get(sweep_id)
-            if sweep is None or sweep.state in _TERMINAL_STATES:
-                return
-            shard = sweep.shards[cell_index][shard_index]
-            if shard.state != "pending" or shard.attempt != attempt:
+            current = self._current(sweep_id, index, attempt, "pending")
+            if current is None:
                 return  # superseded by a re-queue, or already finished
+            sweep, shard = current
             shard.state = "running"
             if self.shard_timeout is not None:
                 shard.deadline = time.monotonic() + self.shard_timeout
-            cell = shard.cell
-            signature = shard.signature
+            unit = shard.unit
+            cell_index, shard_index = unit.cell_index, unit.shard_index
             interval = sweep.heartbeat_interval
             if shard.span_id is None:
                 shard.span_id = sweep.spans.begin(
@@ -513,8 +503,8 @@ class SweepService:
                     attrs={
                         "cell": cell_index,
                         "shard": shard_index,
-                        "shards": shard.shard_count,
-                        "replicas": cell.num_replicas,
+                        "shards": unit.shard_count,
+                        "replicas": unit.cell.num_replicas,
                     },
                 )
             attempt_attrs: Dict[str, object] = {
@@ -535,9 +525,7 @@ class SweepService:
         if interval is not None:
             emitter = HeartbeatEmitter(
                 interval,
-                lambda beat: self._note_heartbeat(
-                    sweep_id, cell_index, shard_index, attempt, beat
-                ),
+                lambda beat: self._note_heartbeat(sweep_id, index, attempt, beat),
             )
         from_cache = False
         try:
@@ -546,25 +534,18 @@ class SweepService:
                     self.fault_injector.on_attempt(
                         sweep_id, cell_index, shard_index, attempt
                     )
-                outcome = self.cache.get(signature)
+                outcome = self.cache.get(shard.signature)
                 if outcome is not None:
                     from_cache = True
                 else:
-                    outcome = execute_cell_batched(cell)
+                    outcome = execute_cell_batched(unit.cell)
         except Exception as error:
-            self._shard_failed(sweep_id, cell_index, shard_index, attempt, error)
+            self._shard_failed(sweep_id, index, attempt, error)
             return
-        self._shard_done(
-            sweep_id, cell_index, shard_index, attempt, outcome, from_cache
-        )
+        self._shard_done(sweep_id, index, attempt, outcome, from_cache)
 
     def _note_heartbeat(
-        self,
-        sweep_id: str,
-        cell_index: int,
-        shard_index: int,
-        attempt: int,
-        beat: Heartbeat,
+        self, sweep_id: str, index: int, attempt: int, beat: Heartbeat
     ) -> None:
         """Absorb one in-flight beat from a worker's engine (sink callback).
 
@@ -575,12 +556,10 @@ class SweepService:
         record lands on the event stream.
         """
         with self._condition:
-            sweep = self._sweeps.get(sweep_id)
-            if sweep is None or sweep.state in _TERMINAL_STATES:
-                return
-            shard = sweep.shards[cell_index][shard_index]
-            if shard.attempt != attempt or shard.state != "running":
+            current = self._current(sweep_id, index, attempt)
+            if current is None:
                 return  # beat from a superseded or finished attempt
+            sweep, shard = current
             now = time.monotonic()
             shard.last_heartbeat = beat
             shard.last_beat_monotonic = now
@@ -591,44 +570,18 @@ class SweepService:
                 return
             shard.last_progress_emit = now
             sweep.events.append(
-                {
-                    "event": "progress",
-                    "index": cell_index,
-                    "total": len(sweep.cells),
-                    "shard": shard_index if shard.shard_count > 1 else None,
-                    "shards": shard.shard_count if shard.shard_count > 1 else None,
-                    "attempt": attempt,
-                    "backend": "service",
-                    "protocol": shard.cell.protocol.label,
-                    "graph": shard.cell.graph.label,
-                    "replicas": shard.cell.num_replicas,
-                    "engine": beat.engine,
-                    "kernel": beat.kernel,
-                    "round": beat.round_index,
-                    "active": beat.active,
-                    "converged": beat.converged,
-                    "leaderless": beat.leaderless,
-                    "rounds_advanced": beat.rounds_advanced,
-                    "rounds_per_second": beat.rounds_per_second,
-                }
+                sweep.plan.beat_event(index, beat, attempt).to_record()
             )
             self._condition.notify_all()
 
     def _shard_failed(
-        self,
-        sweep_id: str,
-        cell_index: int,
-        shard_index: int,
-        attempt: int,
-        error: Exception,
+        self, sweep_id: str, index: int, attempt: int, error: Exception
     ) -> None:
         with self._condition:
-            sweep = self._sweeps.get(sweep_id)
-            if sweep is None or sweep.state in _TERMINAL_STATES:
-                return
-            shard = sweep.shards[cell_index][shard_index]
-            if shard.attempt != attempt or shard.state == "done":
+            current = self._current(sweep_id, index, attempt)
+            if current is None:
                 return  # a newer attempt owns this shard now
+            sweep, shard = current
             self._requeue_or_fail(sweep, shard, f"{type(error).__name__}: {error}")
             self._condition.notify_all()
 
@@ -647,14 +600,12 @@ class SweepService:
             shard.state = "pending"
             shard.deadline = None
             self._metrics.count("service.shards_retried")
-            self._queue.put(
-                (sweep.id, shard.cell_index, shard.shard_index, shard.attempt)
-            )
+            self._queue.put((sweep.id, shard.index, shard.attempt))
             return
         sweep.state = "failed"
         sweep.error = (
-            f"shard {shard.shard_index} of cell {shard.cell_index} failed "
-            f"after {shard.retries + 1} attempts: {reason}"
+            f"shard {shard.unit.shard_index} of cell {shard.unit.cell_index} "
+            f"failed after {shard.retries + 1} attempts: {reason}"
         )
         if sweep.span_id is not None:
             sweep.spans.finish(sweep.span_id, attrs={"error": sweep.error})
@@ -662,37 +613,35 @@ class SweepService:
     def _shard_done(
         self,
         sweep_id: str,
-        cell_index: int,
-        shard_index: int,
+        index: int,
         attempt: int,
         outcome: CellOutcome,
         from_cache: bool,
     ) -> None:
         with self._condition:
-            sweep = self._sweeps.get(sweep_id)
-            if sweep is None or sweep.state in _TERMINAL_STATES:
-                return
-            shard = sweep.shards[cell_index][shard_index]
-            if shard.attempt != attempt or shard.state == "done":
+            current = self._current(sweep_id, index, attempt)
+            if current is None:
                 return  # stale completion from a superseded attempt
+            sweep, shard = current
+            unit = shard.unit
             if not from_cache:
                 self._metrics.count("service.shards_executed")
                 self._engine_metrics = merge_snapshots(
                     [self._engine_metrics, outcome.metrics]
                 )
-                if not self.cache.put(shard.signature, shard.cell, outcome):
+                if not self.cache.put(shard.signature, unit.cell, outcome):
                     # A retry produced different records than the cached
                     # first attempt — a determinism violation, never OK.
                     sweep.state = "failed"
                     sweep.error = (
-                        f"determinism violation: shard {shard_index} of cell "
-                        f"{cell_index} (signature {shard.signature[:12]}) "
-                        f"produced records that differ from its cached result"
+                        f"determinism violation: shard {unit.shard_index} of "
+                        f"cell {unit.cell_index} (signature "
+                        f"{shard.signature[:12]}) produced records that "
+                        f"differ from its cached result"
                     )
                     self._condition.notify_all()
                     return
             shard.state = "done"
-            shard.outcome = outcome
             shard.deadline = None
             if shard.attempt_span_id is not None:
                 sweep.spans.finish(
@@ -710,42 +659,33 @@ class SweepService:
                 )
             if not from_cache and outcome.wall_seconds is not None:
                 self._observe_shard_wall(float(outcome.wall_seconds))
-            if shard.shard_count > 1:
+            if unit.shard_count > 1:
                 sweep.events.append(
-                    {
-                        "event": "shard",
-                        "index": cell_index,
-                        "total": len(sweep.cells),
-                        "shard": shard_index,
-                        "shards": shard.shard_count,
-                        "backend": "service",
-                        "protocol": shard.cell.protocol.label,
-                        "graph": shard.cell.graph.label,
-                        "replicas": shard.cell.num_replicas,
-                        "wall_seconds": outcome.wall_seconds,
-                        "rounds_advanced": outcome.rounds_advanced,
-                    }
+                    sweep.plan.shard_event(index, outcome).to_record()
                 )
-            shards = sweep.shards[cell_index]
-            if all(entry.state == "done" for entry in shards):
-                cell = sweep.cells[cell_index]
-                merged = merge_cell_outcomes(
-                    cell, [entry.outcome for entry in shards]
-                )
-                if len(shards) > 1:
+            merged = sweep.plan.finish(index, outcome)
+            if merged is not None:
+                cell_index = unit.cell_index
+                if unit.shard_count > 1:
                     # Cache the whole-cell result too, so resubmitting the
                     # cell hits at submit time without re-merging shards.
+                    cell = sweep.cells[cell_index]
                     self.cache.put(cell_signature(cell), cell, merged)
                 sweep.outcomes[cell_index] = merged
+                first = index - unit.shard_index  # a cell's units are contiguous
+                retries = sum(
+                    entry.retries
+                    for entry in sweep.shards[first:first + unit.shard_count]
+                )
                 sweep.spans.finish(
                     sweep.cell_span_ids[cell_index],
                     attrs={
                         "wall_seconds": merged.wall_seconds,
                         "rounds_advanced": merged.rounds_advanced,
-                        "retries": sum(entry.retries for entry in shards),
+                        "retries": retries,
                     },
                 )
-                self._emit_cell_event(sweep, cell_index, merged, cached=False)
+                self._emit_cell_event(sweep, cell_index, merged, False, retries)
             self._finish_if_complete(sweep)
             self._condition.notify_all()
 
@@ -768,37 +708,14 @@ class SweepService:
         cell_index: int,
         outcome: CellOutcome,
         cached: bool,
+        retries: int,
     ) -> None:
         """Append one telemetry-schema ``cell`` record (lock held)."""
-        records = outcome.to_records()
-        mean_rounds = None
-        if records:
-            rounds = [
-                record.convergence_round
-                if record.convergence_round is not None
-                else record.rounds_executed
-                for record in records
-            ]
-            mean_rounds = float(sum(rounds)) / len(rounds)
         sweep.events.append(
             {
-                "event": "cell",
-                "index": cell_index,
-                "total": len(sweep.cells),
-                "backend": "service",
-                "protocol": outcome.cell.protocol.label,
-                "graph": outcome.cell.graph.label,
-                "n": outcome.n,
-                "diameter": outcome.diameter,
-                "replicas": outcome.cell.num_replicas,
-                "mean_rounds": mean_rounds,
-                "wall_seconds": outcome.wall_seconds,
-                "rounds_advanced": outcome.rounds_advanced,
-                "metrics": outcome.metrics,
+                **sweep.plan.cell_event(cell_index, outcome).to_record(),
                 "cached": cached,
-                "retries": sum(
-                    shard.retries for shard in sweep.shards[cell_index]
-                ),
+                "retries": retries,
             }
         )
 
@@ -842,19 +759,18 @@ class SweepService:
                 for sweep in self._sweeps.values():
                     if sweep.state in _TERMINAL_STATES:
                         continue
-                    for shards in sweep.shards:
-                        for shard in shards:
-                            if (
-                                shard.state == "running"
-                                and shard.deadline is not None
-                                and now > shard.deadline
-                            ):
-                                self._requeue_or_fail(
-                                    sweep,
-                                    shard,
-                                    f"attempt exceeded shard_timeout="
-                                    f"{self.shard_timeout}s",
-                                )
+                    for shard in sweep.shards:
+                        if (
+                            shard.state == "running"
+                            and shard.deadline is not None
+                            and now > shard.deadline
+                        ):
+                            self._requeue_or_fail(
+                                sweep,
+                                shard,
+                                f"attempt exceeded shard_timeout="
+                                f"{self.shard_timeout}s",
+                            )
                 self._condition.notify_all()
 
     # ------------------------------------------------------------------ #
@@ -867,28 +783,27 @@ class SweepService:
             raise KeyError(sweep_id)
         return sweep
 
+    @staticmethod
+    def _sweep_summary(sweep: _Sweep) -> Dict[str, object]:
+        """The progress counts ``GET /sweeps`` and its items share."""
+        return {
+            "id": sweep.id,
+            "state": sweep.state,
+            "cells": len(sweep.cells),
+            "completed_cells": sweep.completed_cells,
+            "shards": len(sweep.shards),
+            "completed_shards": sum(
+                1 for shard in sweep.shards if shard.state == "done"
+            ),
+            "retries": sum(shard.retries for shard in sweep.shards),
+        }
+
     def sweep_status(self, sweep_id: str) -> Dict[str, object]:
         """The ``GET /sweeps/{id}`` payload (records included when done)."""
         with self._lock:
             sweep = self._sweep_or_raise(sweep_id)
-            shard_total = sum(len(shards) for shards in sweep.shards)
             payload: Dict[str, object] = {
-                "id": sweep.id,
-                "state": sweep.state,
-                "cells": len(sweep.cells),
-                "completed_cells": sweep.completed_cells,
-                "shards": shard_total,
-                "completed_shards": sum(
-                    1
-                    for shards in sweep.shards
-                    for shard in shards
-                    if shard.state == "done"
-                ),
-                "retries": sum(
-                    shard.retries
-                    for shards in sweep.shards
-                    for shard in shards
-                ),
+                **self._sweep_summary(sweep),
                 "cached_cells": sum(sweep.cell_cached),
                 "error": sweep.error,
                 "created": sweep.created,
@@ -913,71 +828,43 @@ class SweepService:
             return []
         now = time.monotonic()
         rows: List[Dict[str, object]] = []
-        for shards in sweep.shards:
-            for shard in shards:
-                if shard.state == "done":
-                    continue
-                row: Dict[str, object] = {
-                    "cell": shard.cell_index,
-                    "shard": shard.shard_index,
-                    "shards": shard.shard_count,
-                    "state": shard.state,
-                    "attempt": shard.attempt,
-                    "retries": shard.retries,
-                    "replicas": shard.cell.num_replicas,
-                    "protocol": shard.cell.protocol.label,
-                    "graph": shard.cell.graph.label,
-                }
-                beat = shard.last_heartbeat
-                if beat is not None:
-                    row.update(
-                        {
-                            "engine": beat.engine,
-                            "kernel": beat.kernel,
-                            "round": beat.round_index,
-                            "active": beat.active,
-                            "converged": beat.converged,
-                            "leaderless": beat.leaderless,
-                            "rounds_advanced": beat.rounds_advanced,
-                            "rounds_per_second": beat.rounds_per_second,
-                        }
-                    )
-                if shard.last_beat_monotonic is not None:
-                    row["beat_age_seconds"] = now - shard.last_beat_monotonic
-                rows.append(row)
+        for shard in sweep.shards:
+            if shard.state == "done":
+                continue
+            unit = shard.unit
+            row: Dict[str, object] = {
+                "cell": unit.cell_index,
+                "shard": unit.shard_index,
+                "shards": unit.shard_count,
+                "state": shard.state,
+                "attempt": shard.attempt,
+                "retries": shard.retries,
+                "replicas": unit.cell.num_replicas,
+                "protocol": unit.cell.protocol.label,
+                "graph": unit.cell.graph.label,
+            }
+            if shard.last_heartbeat is not None:
+                row.update(beat_fields(shard.last_heartbeat))
+            if shard.last_beat_monotonic is not None:
+                row["beat_age_seconds"] = now - shard.last_beat_monotonic
+            rows.append(row)
         return rows
 
     def list_sweeps(self) -> Dict[str, object]:
         """The ``GET /sweeps`` payload: every sweep's one-line summary."""
         with self._lock:
-            rows = []
-            for sweep in sorted(
-                self._sweeps.values(), key=lambda entry: entry.created
-            ):
-                shard_total = sum(len(shards) for shards in sweep.shards)
-                rows.append(
+            return {
+                "sweeps": [
                     {
-                        "id": sweep.id,
-                        "state": sweep.state,
-                        "cells": len(sweep.cells),
-                        "completed_cells": sweep.completed_cells,
-                        "shards": shard_total,
-                        "completed_shards": sum(
-                            1
-                            for shards in sweep.shards
-                            for shard in shards
-                            if shard.state == "done"
-                        ),
-                        "retries": sum(
-                            shard.retries
-                            for shards in sweep.shards
-                            for shard in shards
-                        ),
+                        **self._sweep_summary(sweep),
                         "created": sweep.created,
                         "error": sweep.error,
                     }
-                )
-            return {"sweeps": rows}
+                    for sweep in sorted(
+                        self._sweeps.values(), key=lambda entry: entry.created
+                    )
+                ]
+            }
 
     def spans_payload(self, sweep_id: str) -> Dict[str, object]:
         """The ``GET /sweeps/{id}/spans`` payload: the sweep's span tree."""
@@ -1091,8 +978,7 @@ class SweepService:
             snapshot["gauges"]["service.shards_running"] = sum(
                 1
                 for sweep in self._sweeps.values()
-                for shards in sweep.shards
-                for shard in shards
+                for shard in sweep.shards
                 if shard.state == "running"
             )
             if self.heartbeat_interval is not None:
@@ -1150,7 +1036,7 @@ class SweepService:
             return {
                 "id": sweep_id,
                 "cells": len(sweep.cells),
-                "shards": sum(len(shards) for shards in sweep.shards),
+                "shards": len(sweep.shards),
                 "cached_cells": sum(sweep.cell_cached),
                 "state": sweep.state,
             }

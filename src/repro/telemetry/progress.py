@@ -39,9 +39,12 @@ import json
 import logging
 import sys
 import time
-from typing import IO, Dict, Iterator, Optional, Set
+from typing import IO, TYPE_CHECKING, Dict, Iterator, Optional, Set
 
 from repro.telemetry.spans import SpanRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only, avoids a module cycle
+    from repro.exec.base import CellCompleted, ShardProgress
 
 __all__ = [
     "ProgressReporter",
@@ -188,111 +191,51 @@ class ProgressReporter:
             attrs={"cell": index, "shard": shard_index, "attempt": 0},
         )
 
-    def shard_progress(self, event: object) -> None:
+    def shard_progress(self, event: "ShardProgress") -> None:
         """Record one in-flight ``ShardProgress`` heartbeat into the stream.
 
         Progress records are pure observability: they carry the engine's
         latest heartbeat and never count towards the summary totals.
         """
-        beat = event.heartbeat  # type: ignore[attr-defined]
-        self.emit(
-            {
-                "event": "progress",
-                "index": event.index,  # type: ignore[attr-defined]
-                "total": event.total,  # type: ignore[attr-defined]
-                "shard": getattr(event, "shard_index", None),
-                "shards": getattr(event, "shard_count", None),
-                "attempt": getattr(event, "attempt", 0),
-                "backend": event.backend,  # type: ignore[attr-defined]
-                "protocol": event.cell.protocol.label,  # type: ignore[attr-defined]
-                "graph": event.cell.graph.label,  # type: ignore[attr-defined]
-                "replicas": len(event.cell.seeds),  # type: ignore[attr-defined]
-                "engine": beat.engine,
-                "round": beat.round_index,
-                "active": beat.active,
-                "converged": beat.converged,
-                "leaderless": beat.leaderless,
-                "rounds_advanced": beat.rounds_advanced,
-                "rounds_per_second": beat.rounds_per_second,
-            }
-        )
+        if self._telemetry_file is not None:
+            self.emit(event.to_record())
 
-    def cell_completed(self, event: object, mean_rounds: Optional[float] = None) -> None:
+    def cell_completed(self, event: "CellCompleted") -> None:
         """Record one backend ``CellCompleted`` event into the stream.
 
         Shard sub-progress events (``shard_index`` set) become ``"shard"``
         records and do not count towards the summary totals — the per-cell
         event that follows them carries the merged wall time and rounds.
         """
-        wall_seconds = getattr(event, "wall_seconds", None)
-        rounds_advanced = getattr(event, "rounds_advanced", None)
-        outcome = event.outcome  # type: ignore[attr-defined]
-        shard_index = getattr(event, "shard_index", None)
-        if shard_index is not None:
-            now = time.time()
-            self._sharded_cells.add(int(event.index))  # type: ignore[attr-defined]
+        wall_seconds = event.wall_seconds
+        now = time.time()
+        start = now - float(wall_seconds or 0.0)
+        if event.shard_index is not None:
+            self._sharded_cells.add(event.index)
             self._record_shard_span(
-                event,
-                int(shard_index),
-                getattr(event, "shard_count", None),
-                now - float(wall_seconds or 0.0),
-                now,
+                event, event.shard_index, event.shard_count, start, now
             )
-            self.emit(
-                {
-                    "event": "shard",
-                    "index": event.index,  # type: ignore[attr-defined]
-                    "total": event.total,  # type: ignore[attr-defined]
-                    "shard": shard_index,
-                    "shards": getattr(event, "shard_count", None),
-                    "backend": event.backend,  # type: ignore[attr-defined]
-                    "protocol": event.cell.protocol.label,  # type: ignore[attr-defined]
-                    "graph": event.cell.graph.label,  # type: ignore[attr-defined]
-                    "replicas": len(event.cell.seeds),  # type: ignore[attr-defined]
-                    "wall_seconds": wall_seconds,
-                    "rounds_advanced": rounds_advanced,
-                }
-            )
-            return
-        self._cells += 1
-        if wall_seconds is not None:
-            self._wall_seconds += wall_seconds
-        if rounds_advanced is not None:
-            self._rounds_advanced += rounds_advanced
-        if self._spans is not None:
-            now = time.time()
-            start = now - float(wall_seconds or 0.0)
-            index = int(event.index)  # type: ignore[attr-defined]
-            if index not in self._sharded_cells:
-                # Unsharded cells still get one shard/attempt pair so the
-                # tree shape is uniform for consumers.
-                self._record_shard_span(event, 0, 1, start, now)
-            self._spans.finish(
-                self._cell_span(event, start),
-                end=now,
-                attrs={
-                    "wall_seconds": wall_seconds,
-                    "rounds_advanced": rounds_advanced,
-                    "replicas": len(event.cell.seeds),  # type: ignore[attr-defined]
-                },
-            )
-        self.emit(
-            {
-                "event": "cell",
-                "index": event.index,  # type: ignore[attr-defined]
-                "total": event.total,  # type: ignore[attr-defined]
-                "backend": event.backend,  # type: ignore[attr-defined]
-                "protocol": event.cell.protocol.label,  # type: ignore[attr-defined]
-                "graph": event.cell.graph.label,  # type: ignore[attr-defined]
-                "n": outcome.n,
-                "diameter": outcome.diameter,
-                "replicas": len(event.cell.seeds),  # type: ignore[attr-defined]
-                "mean_rounds": mean_rounds,
-                "wall_seconds": wall_seconds,
-                "rounds_advanced": rounds_advanced,
-                "metrics": getattr(outcome, "metrics", None),
-            }
-        )
+        else:
+            self._cells += 1
+            if wall_seconds is not None:
+                self._wall_seconds += wall_seconds
+            self._rounds_advanced += event.rounds_advanced
+            if self._spans is not None:
+                if event.index not in self._sharded_cells:
+                    # Unsharded cells still get one shard/attempt pair so
+                    # the tree shape is uniform for consumers.
+                    self._record_shard_span(event, 0, 1, start, now)
+                self._spans.finish(
+                    self._cell_span(event, start),
+                    end=now,
+                    attrs={
+                        "wall_seconds": wall_seconds,
+                        "rounds_advanced": event.rounds_advanced,
+                        "replicas": event.cell.num_replicas,
+                    },
+                )
+        if self._telemetry_file is not None:
+            self.emit(event.to_record())
 
     def close(self) -> None:
         """Write the summary record and release the stream and handlers."""
@@ -357,78 +300,47 @@ def iter_telemetry(path: str) -> Iterator[Dict[str, object]]:
 def render_event(record: Dict[str, object]) -> str:
     """One status line for one telemetry record (what ``repro tail`` prints)."""
     event = record.get("event")
-    if event == "cell":
-        index = record.get("index")
-        position = "?" if index is None else str(int(index) + 1)  # type: ignore[arg-type]
-        parts = [
-            f"[{position}/{record.get('total', '?')}]",
-            f"{record.get('protocol', '?')}",
-            "on",
-            f"{record.get('graph', '?')}",
-        ]
-        mean_rounds = record.get("mean_rounds")
-        if mean_rounds is not None:
-            parts.append(f"mean rounds {float(mean_rounds):.1f}")  # type: ignore[arg-type]
-        wall_seconds = record.get("wall_seconds")
-        if wall_seconds is not None:
-            parts.append(f"in {float(wall_seconds):.3f}s")  # type: ignore[arg-type]
-        rounds_advanced = record.get("rounds_advanced")
-        if rounds_advanced is not None and wall_seconds:
-            rate = float(rounds_advanced) / float(wall_seconds)  # type: ignore[arg-type]
-            parts.append(f"({rate:,.0f} replica-rounds/s)")
-        return " ".join(parts)
-    if event == "shard":
-        index = record.get("index")
-        position = "?" if index is None else str(int(index) + 1)  # type: ignore[arg-type]
-        shard = record.get("shard")
-        shard_position = "?" if shard is None else str(int(shard) + 1)  # type: ignore[arg-type]
-        parts = [
-            f"[{position}/{record.get('total', '?')}]",
-            f"shard {shard_position}/{record.get('shards', '?')}",
-            f"{record.get('protocol', '?')}",
-            "on",
-            f"{record.get('graph', '?')}",
-            f"({record.get('replicas', '?')} replicas)",
-        ]
-        wall_seconds = record.get("wall_seconds")
-        if wall_seconds is not None:
-            parts.append(f"in {float(wall_seconds):.3f}s")  # type: ignore[arg-type]
-        return " ".join(parts)
-    if event == "progress":
-        index = record.get("index")
-        position = "?" if index is None else str(int(index) + 1)  # type: ignore[arg-type]
-        parts = [f"[{position}/{record.get('total', '?')}]"]
-        shard = record.get("shard")
-        if shard is not None:
-            parts.append(
-                f"shard {int(shard) + 1}/{record.get('shards', '?')}"  # type: ignore[arg-type]
-            )
-        attempt = record.get("attempt")
-        if attempt:
-            parts.append(f"attempt {attempt}")
-        parts.extend(
-            [
-                f"{record.get('protocol', '?')}",
-                "on",
-                f"{record.get('graph', '?')}",
-                f"round {record.get('round', '?')}",
-            ]
-        )
-        active = record.get("active")
-        replicas = record.get("replicas")
-        if active is not None and replicas is not None:
-            parts.append(f"active {active}/{replicas}")
-        rate = record.get("rounds_per_second")
-        if rate:
-            parts.append(f"({float(rate):,.0f} replica-rounds/s)")  # type: ignore[arg-type]
-        return " ".join(parts)
     if event == "summary":
         return (
             f"sweep complete: {record.get('cells', 0)} cells, "
             f"{float(record.get('wall_seconds', 0.0)):.3f}s total, "  # type: ignore[arg-type]
             f"{record.get('rounds_advanced', 0)} replica-rounds"
         )
-    return json.dumps(record, default=str)
+    if event not in ("cell", "shard", "progress"):
+        return json.dumps(record, default=str)
+
+    def position(key: str, total: str) -> str:
+        value = record.get(key)
+        ordinal = "?" if value is None else int(value) + 1  # type: ignore[arg-type]
+        return f"{ordinal}/{record.get(total, '?')}"
+
+    parts = [f"[{position('index', 'total')}]"]
+    if event == "shard" or (event == "progress" and record.get("shard") is not None):
+        parts.append(f"shard {position('shard', 'shards')}")
+    if event == "progress" and record.get("attempt"):
+        parts.append(f"attempt {record.get('attempt')}")
+    parts += [f"{record.get('protocol', '?')}", "on", f"{record.get('graph', '?')}"]
+    wall_seconds = record.get("wall_seconds")
+    if event == "progress":
+        parts.append(f"round {record.get('round', '?')}")
+        active, replicas = record.get("active"), record.get("replicas")
+        if active is not None and replicas is not None:
+            parts.append(f"active {active}/{replicas}")
+        rate = record.get("rounds_per_second")
+        if rate:
+            parts.append(f"({float(rate):,.0f} replica-rounds/s)")  # type: ignore[arg-type]
+        return " ".join(parts)
+    if event == "shard":
+        parts.append(f"({record.get('replicas', '?')} replicas)")
+    elif record.get("mean_rounds") is not None:
+        parts.append(f"mean rounds {float(record['mean_rounds']):.1f}")  # type: ignore[arg-type]
+    if wall_seconds is not None:
+        parts.append(f"in {float(wall_seconds):.3f}s")  # type: ignore[arg-type]
+    rounds_advanced = record.get("rounds_advanced")
+    if event == "cell" and rounds_advanced is not None and wall_seconds:
+        rate = float(rounds_advanced) / float(wall_seconds)  # type: ignore[arg-type]
+        parts.append(f"({rate:,.0f} replica-rounds/s)")
+    return " ".join(parts)
 
 
 def tail_telemetry(

@@ -20,6 +20,7 @@ from repro.exec import (
     resolve_backend,
 )
 from repro.experiments.config import GraphSpec
+from repro.service import ServiceBackend
 
 from tests.batch.parity_harness import backend_parity_cells
 
@@ -48,6 +49,8 @@ def test_bad_heartbeat_interval_is_a_configuration_error(interval):
         resolve_backend("sequential", heartbeat_interval=interval)
     with pytest.raises(ConfigurationError):
         SequentialBackend(heartbeat_interval=interval)
+    with pytest.raises(ConfigurationError):
+        ServiceBackend("http://127.0.0.1:9", heartbeat_interval=interval)
 
 
 def test_resolve_backend_sets_the_interval_on_any_backend():

@@ -8,6 +8,8 @@ and forwarded verbatim over the sweep-service wire to resolve on the
 executing workers.
 """
 
+import functools
+
 import pytest
 
 from repro.batch.kernels import numba_available
@@ -27,6 +29,7 @@ from repro.exec.cells import (
 )
 from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 from repro.experiments.seeds import trial_seeds
+from repro.service import ServiceBackend
 
 
 def _cell(kernel=None, tag="kernel-exec", num_seeds=4):
@@ -77,7 +80,17 @@ def test_stamp_kernel_cell_choice_wins():
 
 
 @pytest.mark.parametrize(
-    "backend_type", [SequentialBackend, BatchedBackend, ProcessBackend]
+    "backend_type",
+    [
+        SequentialBackend,
+        BatchedBackend,
+        ProcessBackend,
+        # The constructor opens no connection, so no daemon is needed.
+        pytest.param(
+            functools.partial(ServiceBackend, "http://127.0.0.1:9"),
+            id="ServiceBackend",
+        ),
+    ],
 )
 def test_backends_validate_kernel(backend_type):
     assert backend_type().kernel is None

@@ -88,6 +88,30 @@ def test_per_sweep_interval_overrides_the_daemon_default(service):
     assert "progress" in beating
 
 
+def test_local_and_service_progress_records_share_one_key_set(
+    beating_service, tmp_path
+):
+    from repro.exec import BatchedBackend
+    from repro.experiments.runner import cell_progress_adapter
+    from repro.telemetry import ProgressReporter, iter_telemetry
+
+    cell = make_cell(seeds=tuple(range(6)))
+    path = tmp_path / "telemetry.jsonl"
+    with ProgressReporter(quiet=True, telemetry_path=str(path)) as reporter:
+        BatchedBackend(heartbeat_interval=1).run_cells(
+            (cell,), progress=cell_progress_adapter(reporter)
+        )
+    local = [r for r in iter_telemetry(str(path)) if r["event"] == "progress"]
+    client = ServiceClient(beating_service.url)
+    sweep_id = str(client.submit([cell])["id"])
+    remote = [
+        r for r in _drain_events(client, sweep_id) if r["event"] == "progress"
+    ]
+    assert local and remote
+    assert {frozenset(r) for r in local} == {frozenset(r) for r in remote}
+    assert "kernel" in local[0]
+
+
 def test_service_backend_forwards_shard_progress(beating_service):
     cell = make_cell(seeds=tuple(range(6)))
     reference = SequentialBackend().run_cells((cell,))

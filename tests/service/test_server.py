@@ -2,14 +2,15 @@
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.exec import SequentialBackend
-from repro.service import ServiceClient
+from repro.service import ServiceBackend, ServiceClient
 from repro.service.wire import cells_to_payload
 
 from tests.service.conftest import make_cell
@@ -139,6 +140,46 @@ def test_unknown_kernel_is_rejected_at_submit_time(service, kernel):
         assert "kernel" in json.loads(error.read())["error"]
     else:  # pragma: no cover
         pytest.fail("expected HTTP 400")
+
+
+def test_service_backend_refuses_a_bad_shard_size_at_construction():
+    # Like every local backend; the constructor opens no connection.
+    for shard_size in (0, "zero"):
+        with pytest.raises(ConfigurationError, match="shard size"):
+            ServiceBackend("http://127.0.0.1:9", shard_size=shard_size)
+
+
+def _refused_shard_size(url, cells):
+    try:
+        _post(url, "/sweeps", {"cells": cells_to_payload(cells), "shard_size": 0})
+    except urllib.error.HTTPError as error:
+        assert error.code == 400
+        return json.loads(error.read())["error"]
+    pytest.fail("expected HTTP 400")  # pragma: no cover
+
+
+def test_refused_shard_size_registers_no_sweep():
+    # A bad shard size is refused before the sweep is registered: nothing
+    # is listed, and a draining stop has nothing to wait for.
+    from repro.service import SweepService
+
+    daemon = SweepService(workers=2).start()
+    try:
+        assert "shard size" in _refused_shard_size(daemon.url, [make_cell()])
+        assert ServiceClient(daemon.url).sweeps()["sweeps"] == []
+    finally:
+        started = time.monotonic()
+        daemon.stop(drain=True, timeout=2.0)
+    assert time.monotonic() - started < 1.5
+
+
+def test_refused_shard_size_is_refused_when_every_cell_is_cached(service):
+    client = ServiceClient(service.url)
+    cells = [make_cell()]
+    sweep_id = str(client.submit(cells)["id"])
+    assert client.events(sweep_id, timeout=15.0)["state"] == "done"
+    assert "shard size" in _refused_shard_size(service.url, cells)
+    assert [row["id"] for row in client.sweeps()["sweeps"]] == [sweep_id]
 
 
 def test_submission_by_raw_json_matches_client(service):

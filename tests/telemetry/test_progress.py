@@ -257,6 +257,43 @@ def test_tail_renders_shard_lines_from_a_sharded_sweep(tmp_path):
     assert lines[-1].startswith("sweep complete: 2 cells")
 
 
+def test_progress_records_round_trip_through_shard_progress():
+    from repro.exec import ExecutionCell, ShardProgress
+    from repro.telemetry.heartbeat import Heartbeat
+
+    cell = ExecutionCell(
+        protocol=ProtocolSpecConfig(name="bfw"),
+        graph=GraphSpec(family="cycle", n=12),
+        seeds=(3, 4, 5),
+    )
+    event = ShardProgress(
+        index=0,
+        total=1,
+        backend="batched",
+        cell=cell,
+        heartbeat=Heartbeat(
+            engine="batched",
+            kernel="numpy",
+            round_index=4,
+            replicas=3,
+            active=2,
+            converged=1,
+            leaderless=0,
+            rounds_advanced=12,
+            rounds_per_second=300.0,
+            elapsed_seconds=0.0,
+        ),
+        shard_index=1,
+        shard_count=2,
+        attempt=1,
+    )
+    record = json.loads(json.dumps(event.to_record()))
+    assert record["event"] == "progress" and record["kernel"] == "numpy"
+    assert ShardProgress.from_record(record, (cell,), "batched") == event
+    with pytest.raises(IndexError):
+        ShardProgress.from_record({**record, "index": 1}, (cell,), "batched")
+
+
 def test_reporter_appends_across_instances(tmp_path):
     path = tmp_path / "stream.jsonl"
     for _ in range(2):
