@@ -18,32 +18,30 @@ replica-for-replica identical to the loop:
   :class:`~repro.exec.BatchedBackend` on a multi-cell sweep (the Table-1 /
   scaling shape), asserting ≥ 1.5× with 2 workers — only on machines with
   at least 2 CPUs, since cell sharding cannot beat one process on one core.
-  This case always writes its measurements to ``BENCH_exec.json``
-  (override the path with ``REPRO_BENCH_JSON``) so the execution-layer
-  perf trajectory is machine-readable from PR to PR.
+  This case always writes its measurements to ``BENCH_exec.json`` so the
+  execution-layer perf trajectory is machine-readable from PR to PR.
 * the dynamic-graph churn sweep (E14): batched replica-rounds/sec as a
   function of the churn rate, plus the amortised-vs-naive rebuild ratio —
   one memoised schedule shared by all replicas against a fresh schedule per
   replica (the rebuild-per-round-per-replica strawman).  Writes
-  ``BENCH_dynamics.json`` (override with ``REPRO_BENCH_DYNAMICS_JSON``).
+  ``BENCH_dynamics.json``.
 * the batched observation layer (E15): the overhead of recording a full
   ``BatchTrace`` (plus an extinction observer) on a batched run against the
   untraced run, and the throughput of the batch analysis entry points
   (``first_beep_round_batch`` / ``summarize_batch``) against the
   per-replica loop over ``trace.replica(r)``.  Writes
-  ``BENCH_observers.json`` (override with ``REPRO_BENCH_OBSERVERS_JSON``).
+  ``BENCH_observers.json``.
 * the streaming telemetry layer (E16): the overhead of folding the analysis
   reductions online (``Streaming*`` reducers) and of spilling the trace to
   windowed ``.npz`` segments, both against the untraced run and against the
   in-memory recorder — plus the peak-RAM proxy (largest resident spill
   window vs the full ``(T+1, R, n)`` history).  Writes
-  ``BENCH_telemetry.json`` (override with ``REPRO_BENCH_TELEMETRY_JSON``).
+  ``BENCH_telemetry.json``.
 * intra-cell sharding (E17): one large Monte-Carlo cell (BFW on a 200-node
   cycle, thousands of replicas) on ``process:2`` whole — the historical
   one-cell/one-core defect — against the same cell with
   ``shard_size="auto"``, asserting byte-identical outcomes and ≥ 1.5×
-  with 2 workers on ≥ 2 CPUs.  Writes ``BENCH_shard.json`` (override with
-  ``REPRO_BENCH_SHARD_JSON``).
+  with 2 workers on ≥ 2 CPUs.  Writes ``BENCH_shard.json``.
 * in-flight observability (E18): the E17 single-cell workload through the
   :class:`~repro.exec.BatchedBackend` three ways — silent, with
   ``heartbeat_interval=32`` streaming :class:`~repro.exec.ShardProgress`
@@ -51,8 +49,7 @@ replica-for-replica identical to the loop:
   :class:`~repro.telemetry.progress.ProgressReporter` (telemetry JSONL +
   span tree) — asserting byte-identical records and bounding the
   heartbeat overhead at ≤ 5% of the silent run (process CPU time,
-  best-of-N).  Writes ``BENCH_observability.json`` (override with
-  ``REPRO_BENCH_OBSERVABILITY_JSON``).
+  best-of-N).  Writes ``BENCH_observability.json``.
 
 * fused round kernels (E19): the interpreted numpy round loop against the
   fused kernel of :mod:`repro.batch.kernels` (numba-compiled when numba is
@@ -62,15 +59,14 @@ replica-for-replica identical to the loop:
   replica-rounds/sec.  The ≥ 2× gate on the million-node shape is enforced
   only when numba is importable (the CI ``kernels`` job); without numba the
   pure-Python kernel is probed at reduced size, informationally.  Writes
-  ``BENCH_kernel.json`` (override with ``REPRO_BENCH_KERNEL_JSON``).
+  ``BENCH_kernel.json``.
 
 * per-round cost of the interpreted loop (E20): fixed-horizon
   ``kernel="numpy"`` runs (``stop_at_single_leader=False``, so every round
   does the same work) at R = 1 on cycle(64) — per-call overhead — and at
   R = 256 on torus(32×32) — data volume — reported as wall and process
   CPU µs per round, best and median of several repetitions.  No gate;
-  writes ``BENCH_round_ops.json`` (override with
-  ``REPRO_BENCH_ROUND_OPS_JSON``).
+  writes ``BENCH_round_ops.json``.
 
 Setting ``REPRO_BENCH_FAST=1`` shrinks every workload (small R and n) and
 skips the speed-up assertions; CI uses it as a smoke mode so these scripts
@@ -103,39 +99,16 @@ FAST = os.environ.get("REPRO_BENCH_FAST", "") == "1"
 #: shared runners without going red on their timing noise.
 STRICT = os.environ.get("REPRO_BENCH_STRICT", "1") == "1"
 
-#: Where the execution-backend case writes its machine-readable results.
-BENCH_EXEC_JSON = os.environ.get("REPRO_BENCH_JSON", "BENCH_exec.json")
-
-#: Where the dynamic-graph churn case writes its machine-readable results.
-BENCH_DYNAMICS_JSON = os.environ.get(
-    "REPRO_BENCH_DYNAMICS_JSON", "BENCH_dynamics.json"
-)
-
-#: Where the observation-layer case writes its machine-readable results.
-BENCH_OBSERVERS_JSON = os.environ.get(
-    "REPRO_BENCH_OBSERVERS_JSON", "BENCH_observers.json"
-)
-
-#: Where the streaming-telemetry case writes its machine-readable results.
-BENCH_TELEMETRY_JSON = os.environ.get(
-    "REPRO_BENCH_TELEMETRY_JSON", "BENCH_telemetry.json"
-)
-
-#: Where the intra-cell sharding case writes its machine-readable results.
-BENCH_SHARD_JSON = os.environ.get("REPRO_BENCH_SHARD_JSON", "BENCH_shard.json")
-
-#: Where the observability-overhead case writes its machine-readable results.
-BENCH_OBSERVABILITY_JSON = os.environ.get(
-    "REPRO_BENCH_OBSERVABILITY_JSON", "BENCH_observability.json"
-)
-
-#: Where the fused-kernel case writes its machine-readable results.
-BENCH_KERNEL_JSON = os.environ.get("REPRO_BENCH_KERNEL_JSON", "BENCH_kernel.json")
-
-#: Where the per-round cost case writes its machine-readable results.
-BENCH_ROUND_OPS_JSON = os.environ.get(
-    "REPRO_BENCH_ROUND_OPS_JSON", "BENCH_round_ops.json"
-)
+#: The machine-readable result file of each case, in the working directory
+#: (CI uploads them as artifacts).
+BENCH_EXEC_JSON = "BENCH_exec.json"
+BENCH_DYNAMICS_JSON = "BENCH_dynamics.json"
+BENCH_OBSERVERS_JSON = "BENCH_observers.json"
+BENCH_TELEMETRY_JSON = "BENCH_telemetry.json"
+BENCH_SHARD_JSON = "BENCH_shard.json"
+BENCH_OBSERVABILITY_JSON = "BENCH_observability.json"
+BENCH_KERNEL_JSON = "BENCH_kernel.json"
+BENCH_ROUND_OPS_JSON = "BENCH_round_ops.json"
 
 #: Workers used by the process-backend sweep case.
 PROCESS_WORKERS = 2
@@ -143,6 +116,37 @@ PROCESS_WORKERS = 2
 
 def _size(value, fast_value):
     return fast_value if FAST else value
+
+
+def _write_bench_json(path, payload):
+    """Write one case's results as indented JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
+def _timed(run):
+    """``(process CPU s, wall s, value)`` of one call of ``run``.
+
+    Process CPU time makes overhead ratios robust to co-tenant load on
+    shared runners; wall time is reported alongside.
+    """
+    wall = time.perf_counter()
+    cpu = time.process_time()
+    value = run()
+    return time.process_time() - cpu, time.perf_counter() - wall, value
+
+
+def _best_of(run, repeats):
+    """Best CPU and best wall seconds over ``repeats`` calls, and the last
+    call's value."""
+    best_cpu = best_wall = float("inf")
+    value = None
+    for _ in range(repeats):
+        cpu, wall, value = _timed(run)
+        best_cpu = min(best_cpu, cpu)
+        best_wall = min(best_wall, wall)
+    return best_cpu, best_wall, value
 
 
 def _loop_replica_rounds(topology, protocol, seeds):
@@ -297,9 +301,7 @@ def test_process_backend_sweep_speedup_over_batched(report):
         ],
         "speedup_process_vs_batched": speedup,
     }
-    with open(BENCH_EXEC_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_EXEC_JSON, payload)
 
     report(
         f"E13 — process backend vs batched backend "
@@ -422,9 +424,7 @@ def test_dynamic_churn_sweep(report):
             "naive_over_amortised": rebuild_ratio,
         },
     }
-    with open(BENCH_DYNAMICS_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_DYNAMICS_JSON, payload)
 
     lines = [
         f"rate {entry['churn_rate']}: "
@@ -547,9 +547,7 @@ def test_observer_overhead(report):
             "analysis_speedup_batch_vs_loop": analysis_speedup,
         },
     }
-    with open(BENCH_OBSERVERS_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_OBSERVERS_JSON, payload)
 
     report(
         f"E15 — batched observation layer "
@@ -619,27 +617,10 @@ def test_streaming_telemetry_overhead(report, tmp_path):
     )
     repeats = 1 if FAST else 2
 
-    def _timed(run):
-        # Process CPU time makes the overhead ratio robust to co-tenant
-        # load on shared runners; wall time is reported alongside.
-        wall = time.perf_counter()
-        cpu = time.process_time()
-        value = run()
-        return time.process_time() - cpu, time.perf_counter() - wall, value
-
-    def _best_of(run):
-        best_cpu = best_wall = float("inf")
-        value = None
-        for _ in range(repeats):
-            cpu, wall, value = _timed(run)
-            best_cpu = min(best_cpu, cpu)
-            best_wall = min(best_wall, wall)
-        return best_cpu, best_wall, value
-
     engine.run(seeds, **run_kwargs)  # warmup: prime caches and lazy imports
 
     untraced_cpu, untraced_seconds, untraced = _best_of(
-        lambda: engine.run(seeds, **run_kwargs)
+        lambda: engine.run(seeds, **run_kwargs), repeats
     )
 
     # Fresh reducers and registry per repeat (runs are deterministic, so the
@@ -661,7 +642,7 @@ def test_streaming_telemetry_overhead(report, tmp_path):
                 **run_kwargs,
             )
 
-    streaming_cpu, streaming_seconds, streamed = _best_of(_streamed_run)
+    streaming_cpu, streaming_seconds, streamed = _best_of(_streamed_run, repeats)
     streams = observed["streams"]
     registry = observed["registry"]
 
@@ -735,9 +716,7 @@ def test_streaming_telemetry_overhead(report, tmp_path):
             "peak_ram_fraction": peak_window / max(trace_bytes, 1),
         },
     }
-    with open(BENCH_TELEMETRY_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_TELEMETRY_JSON, payload)
 
     report(
         f"E16 — streaming telemetry "
@@ -850,9 +829,7 @@ def test_intra_cell_sharding_speedup_on_single_cell(report):
         ],
         "speedup_sharded_vs_whole": speedup,
     }
-    with open(BENCH_SHARD_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_SHARD_JSON, payload)
 
     report(
         f"E17 — intra-cell sharding on one Monte-Carlo cell "
@@ -908,27 +885,10 @@ def test_observability_overhead(report, tmp_path):
     cells = (cell,)
     repeats = 1 if FAST else 3
 
-    def _timed(run):
-        # Process CPU time makes the overhead ratio robust to co-tenant
-        # load on shared runners; wall time is reported alongside.
-        wall = time.perf_counter()
-        cpu = time.process_time()
-        value = run()
-        return time.process_time() - cpu, time.perf_counter() - wall, value
-
-    def _best_of(run):
-        best_cpu = best_wall = float("inf")
-        value = None
-        for _ in range(repeats):
-            cpu, wall, value = _timed(run)
-            best_cpu = min(best_cpu, cpu)
-            best_wall = min(best_wall, wall)
-        return best_cpu, best_wall, value
-
     silent_backend = BatchedBackend()
     silent_backend.run_cells(cells)  # warmup: prime caches and lazy imports
     untraced_cpu, untraced_seconds, reference = _best_of(
-        lambda: silent_backend.run_cells(cells)
+        lambda: silent_backend.run_cells(cells), repeats
     )
 
     beating_backend = BatchedBackend(heartbeat_interval=heartbeat_every)
@@ -938,7 +898,7 @@ def test_observability_overhead(report, tmp_path):
         events.clear()
         return beating_backend.run_cells(cells, progress=events.append)
 
-    heartbeat_cpu, heartbeat_seconds, beating = _best_of(_beating_run)
+    heartbeat_cpu, heartbeat_seconds, beating = _best_of(_beating_run, repeats)
     beats = [event for event in events if isinstance(event, ShardProgress)]
     assert beating == reference  # identical physics first
     assert beats, "a heartbeat-enabled run must emit in-flight events"
@@ -960,7 +920,7 @@ def test_observability_overhead(report, tmp_path):
         finally:
             reporter.close()
 
-    spans_cpu, spans_seconds, reported = _best_of(_reported_run)
+    spans_cpu, spans_seconds, reported = _best_of(_reported_run, repeats)
     assert reported == reference
 
     heartbeat_overhead = heartbeat_cpu / max(untraced_cpu, 1e-9)
@@ -989,9 +949,7 @@ def test_observability_overhead(report, tmp_path):
             "spans_overhead": spans_overhead,
         },
     }
-    with open(BENCH_OBSERVABILITY_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_OBSERVABILITY_JSON, payload)
 
     report(
         f"E18 — in-flight observability "
@@ -1113,9 +1071,7 @@ def test_fused_kernel_rounds_per_sec(report):
         "compile_seconds": compile_seconds,
         "results": results,
     }
-    with open(BENCH_KERNEL_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_KERNEL_JSON, payload)
 
     lines = [
         f"{entry['shape']:5s} {entry['graph']:16s} R={entry['replicas']:<5d} "
@@ -1196,9 +1152,7 @@ def test_interpreted_round_cost(report):
         "kernel": "numpy",
         "results": results,
     }
-    with open(BENCH_ROUND_OPS_JSON, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_bench_json(BENCH_ROUND_OPS_JSON, payload)
 
     lines = [
         f"{entry['graph']:13s} R={entry['replicas']:<4d} "

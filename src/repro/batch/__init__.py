@@ -1,16 +1,17 @@
 """Batched Monte-Carlo engines: all replicas of a sweep in one state array.
 
-The subsystem has seven layers:
+The subsystem has eight layers:
 
 * :mod:`repro.batch.streams` — per-replica random streams that keep every
   replica bit-for-bit identical to its standalone run;
 * :mod:`repro.batch.engine` — :class:`BatchedEngine`, which advances the
   ``(R, n)`` batch state of a constant-state protocol and retires converged
   replicas in place;
-* :mod:`repro.batch.kernels` — pluggable round kernels for that engine:
-  the fused loop (numba-compiled when available, plain Python otherwise)
-  and the array-namespace path, selected by :class:`KernelPolicy` and all
-  byte-identical to the interpreted numpy rounds;
+* :mod:`repro.batch.kernels` — the fused round kernel of that engine
+  (numba-compiled when available, plain Python otherwise), selected by
+  :class:`KernelPolicy` and byte-identical to the interpreted numpy rounds;
+* :mod:`repro.batch.ledger` — the per-run bookkeeping both engines share:
+  streaks and retirement, observers, heartbeats and the result;
 * :mod:`repro.batch.memory` — :class:`BatchedMemoryEngine`, the same idea
   for the Table-1 memory baselines (identifier bits, knockout flags and
   epoch coins as ``(R, n)`` arrays, replica-for-replica identical to

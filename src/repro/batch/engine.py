@@ -26,7 +26,11 @@ the same code:
 * replicas that reach a single-leader configuration are retired: their
   columns are compacted out of the block and their decoded rows written
   into the ``(R, n)`` result, so they stop consuming randomness and stop
-  costing work while the batch keeps advancing the stragglers.
+  costing work while the batch keeps advancing the stragglers.  When to
+  retire, and everything else a run reports — convergence rounds,
+  observers, heartbeats, leader-count trajectories, the result and its
+  metrics sample — is the :class:`~repro.batch.ledger._ReplicaLedger`'s,
+  shared with the memory engine; this module only advances states.
 
 A run takes one of two round paths: the fused scalar kernel of
 :mod:`repro.batch.kernels` (compiled with numba when available), or the
@@ -40,10 +44,9 @@ path against the uncompiled fused kernel (``kernel="python"``).
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,11 +56,8 @@ from repro.batch.kernels import (
     fused_round_block,
     resolve_kernel,
 )
-from repro.batch.observers import (
-    BatchObserver,
-    BatchRunInfo,
-    ObserverPipeline,
-)
+from repro.batch.ledger import _ReplicaLedger
+from repro.batch.observers import BatchObserver
 from repro.batch.results import BatchResult
 from repro.batch.streams import (
     DEFAULT_RNG_BUFFER_BYTES,
@@ -66,7 +66,6 @@ from repro.batch.streams import (
     prefetch_depth,
 )
 from repro.beeping.engine import CompiledProtocol, compile_protocol
-from repro.beeping.simulator import default_round_budget
 from repro.core.protocol import BeepingProtocol
 from repro.dynamics.schedules import TopologySchedule
 from repro.errors import ConfigurationError, SimulationError
@@ -470,11 +469,8 @@ class BatchedEngine:
             does not perturb replica parity; their retire requests retire
             replicas exactly like the built-in single-leader stop.
         """
-        streams = (
-            seeds if isinstance(seeds, ReplicaStreams) else ReplicaStreams(seeds)
-        )
         return self._run(
-            streams,
+            seeds,
             max_rounds,
             initial_states,
             record_leader_counts,
@@ -485,7 +481,7 @@ class BatchedEngine:
 
     def _run(
         self,
-        streams: ReplicaStreams,
+        seeds: Union[Sequence[SeedLike], ReplicaStreams],
         max_rounds: Optional[int],
         initial_states: Optional[np.ndarray],
         record_leader_counts: bool,
@@ -493,18 +489,24 @@ class BatchedEngine:
         observers: Sequence[BatchObserver],
         engine: str,
     ) -> BatchResult:
-        """:meth:`run` on prepared streams; ``engine`` labels telemetry.
+        """:meth:`run`, with ``engine`` labelling telemetry.
 
         :class:`~repro.beeping.engine.VectorizedEngine` runs its one seed
         through here, so its heartbeats and metrics keep the
         ``"vectorized"`` label.
         """
-        run_started = time.perf_counter()
-        num_replicas = len(streams)
-        if max_rounds is None:
-            max_rounds = default_round_budget(self._topology)
-        if max_rounds < 0:
-            raise ConfigurationError(f"max_rounds must be >= 0; got {max_rounds}")
+        compiled = self._compiled
+        ledger = _ReplicaLedger(
+            engine,
+            self._topology,
+            compiled.protocol_name,
+            seeds,
+            max_rounds,
+            record=record_leader_counts,
+            stop=stop_at_single_leader,
+        )
+        streams, max_rounds = ledger.streams, ledger.max_rounds
+        num_replicas = ledger.num_replicas
 
         schedule = self._schedule
         if schedule is not None:
@@ -518,60 +520,19 @@ class BatchedEngine:
             schedule.begin_run()
 
         n = self._topology.n
-        compiled = self._compiled
+        is_leader = compiled.is_leader
         states = self._initial_batch(initial_states, num_replicas, n)
-
-        pipeline: Optional[ObserverPipeline] = None
-        if observers:
-            pipeline = ObserverPipeline(
-                observers,
-                BatchRunInfo(
-                    num_replicas=num_replicas,
-                    n=n,
-                    protocol_name=compiled.protocol_name,
-                    topology_name=self._topology.name,
-                    beeping_values=compiled.beeping_values,
-                    leader_values=compiled.leader_values,
-                    seeds=streams.seed_values,
-                ),
-            )
-
-        counts = compiled.is_leader[states].sum(axis=1).astype(np.int64)
-        convergence = np.where(counts == 1, 0, -1).astype(np.int64)
-        rounds_executed = np.zeros(num_replicas, dtype=np.int64)
-        count_rows: Optional[List[np.ndarray]] = (
-            [counts.copy()] if record_leader_counts else None
+        active = ledger.start(
+            is_leader[states].sum(axis=1),
+            observers,
+            (states, compiled.is_beeping[states], is_leader[states])
+            if observers
+            else None,
+            beeping_values=compiled.beeping_values,
+            leader_values=compiled.leader_values,
         )
 
-        active_mask = np.ones(num_replicas, dtype=bool)
-        retire_now = np.zeros(num_replicas, dtype=bool)
-        if stop_at_single_leader:
-            retire_now |= counts == 1
-        if pipeline is not None:
-            requested = pipeline.observe_round(
-                0,
-                states,
-                compiled.is_beeping[states],
-                compiled.is_leader[states],
-                active_mask.copy(),
-            )
-            if requested is not None:
-                retire_now |= requested
-        if retire_now.any():
-            active_mask[retire_now] = False
-            if pipeline is not None:
-                pipeline.notify_retire(np.flatnonzero(retire_now), 0)
-        active = np.flatnonzero(active_mask)
-
         adjacency = self._hear_adjacency
-        is_leader = compiled.is_leader
-
-        # In-flight heartbeat: looked up once per run; None costs a single
-        # is-not-None check per round, and beats never touch the replica
-        # streams, so records stay byte-identical with heartbeats on or off.
-        from repro.telemetry.heartbeat import current_heartbeat
-
-        heartbeat = current_heartbeat()
 
         # Prefetched uniforms: one Generator call per replica per `depth`
         # rounds instead of one per round (see ReplicaStreams.fill_blocks).
@@ -586,11 +547,12 @@ class BatchedEngine:
         # exact same uniform blocks, so records are identical either way.
         policy = self._kernel_policy
         fallback = policy.fallback_reason(
-            observers=pipeline is not None,
+            observers=ledger.pipeline is not None,
             schedule=schedule is not None,
-            heartbeat=heartbeat is not None,
+            heartbeat=ledger.heartbeat is not None,
         )
         kernel_label = "numpy" if fallback is not None else policy.resolved
+        ledger.kernel = kernel_label
         compile_seconds: Optional[float] = None
 
         round_index = 0
@@ -601,6 +563,7 @@ class BatchedEngine:
                 kernel_fn = fused_round_block
             indptr = np.ascontiguousarray(self._adjacency.indptr)
             indices = np.ascontiguousarray(self._adjacency.indices)
+            count_rows = ledger.rows
             record = count_rows is not None
             count_block = np.zeros(
                 (depth if record else 0, num_replicas), dtype=np.int64
@@ -614,10 +577,10 @@ class BatchedEngine:
                 consumed = int(
                     kernel_fn(
                         states,
-                        active_mask,
-                        counts,
-                        convergence,
-                        rounds_executed,
+                        ledger.active_mask,
+                        ledger.counts,
+                        ledger.convergence,
+                        ledger.rounds_executed,
                         indptr,
                         indices,
                         compiled.is_beeping,
@@ -634,22 +597,18 @@ class BatchedEngine:
                     )
                 )
                 if record:
-                    for offset in range(consumed):
-                        count_rows.append(count_block[offset].copy())
+                    count_rows.extend(count_block[:consumed].copy())
                 round_index += consumed
-                active = np.flatnonzero(active_mask)
-            if active.size:
-                counts[active] = is_leader[states[active]].sum(axis=1)
+                active = np.flatnonzero(ledger.active_mask)
         else:
-            # The interpreted loop: the active replicas' bit-encoded states
-            # as one node-major (n, A) array (see encode_protocol), so the
-            # beep columns, the transition codes and the leader counts are
-            # elementwise passes over it.  Retired replicas' columns are
-            # compacted out and their decoded rows written into `states`,
-            # the (R, n) result.
+            # The interpreted loop over the active replicas' encoded (n, A)
+            # block (see encode_protocol and the module docstring).
             tables = self._encoded
             encoded = sized_block(tables.encode.take(states[active].T))
             rng_position = depth
+            quiet = ledger.quiet
+            pipeline = ledger.pipeline
+            close_round = ledger.close_round
             while round_index < max_rounds and active.size:
                 round_index += 1
                 if schedule is not None:
@@ -675,10 +634,8 @@ class BatchedEngine:
                 # standalone run computes.  u >= p picks the secondary
                 # successor, exactly "not u < p" of the fused kernel.
                 if encoded.dtype == np.intp:
-                    # A small block (see sized_block): per-call overhead,
-                    # not data volume, sets the cost, so this step takes
-                    # the fewest calls — intp table gathers, and one coin
-                    # per node.
+                    # A small block (see sized_block): the fewest calls,
+                    # intp table gathers and one coin per node.
                     heard = hear_mask(tables.beep_f32.take(encoded), adjacency)
                     code = encoded + encoded
                     code += heard
@@ -712,120 +669,30 @@ class BatchedEngine:
                             2 * hot_code + coins
                         )
                     active_counts = tables.leader_counts(encoded)
-                hit = active_counts == 1
-                if stop_at_single_leader:
-                    # Hot path: a hit retires this round (an active replica
-                    # can never carry an older streak — it would already
-                    # have retired), so the streak bookkeeping degenerates
-                    # to "convergence = retirement round" and per-round
-                    # count writes are only needed when trajectories are
-                    # recorded.
-                    if count_rows is not None:
-                        counts[active] = active_counts
-                        count_rows.append(counts.copy())
-                    retire = hit
-                else:
-                    # Streak bookkeeping matching the standalone engine: a
-                    # count of one sets the convergence round if unset;
-                    # anything else clears it.  Retired rows stay frozen.
-                    counts[active] = active_counts
-                    if count_rows is not None:
-                        count_rows.append(counts.copy())
-                    previous = convergence[active]
-                    convergence[active] = np.where(
-                        hit, np.where(previous == -1, round_index, previous), -1
-                    )
-                    retire = np.zeros(active.size, dtype=bool)
+                if quiet and not (active_counts == 1).any():
+                    continue
+                observed_round = None
                 if pipeline is not None:
                     # Observers see the whole (R, n) batch, retired rows
                     # frozen: decode the active columns into it.
                     states[active] = (encoded >> 2).T
-                    requested = pipeline.observe_round(
-                        round_index,
+                    observed_round = (
                         states,
                         compiled.is_beeping[states],
                         is_leader[states],
-                        active_mask.copy(),
                     )
-                    if requested is not None:
-                        retire = retire | requested[active]
-                if retire.any():
-                    # Retirement-time bookkeeping: a retiring replica stops
-                    # consuming randomness and work from here on, and its
-                    # column leaves the encoded block.
-                    retired = active[retire]
-                    if stop_at_single_leader:
-                        # Observers may retire replicas that did not
-                        # converge; only the hits carry a convergence round.
-                        convergence[retired] = np.where(
-                            hit[retire], round_index, -1
-                        )
-                        counts[retired] = active_counts[retire]
-                    rounds_executed[retired] = round_index
-                    states[retired] = (encoded[:, retire] >> 2).T
-                    keep = ~retire
-                    encoded = sized_block(np.compress(keep, encoded, axis=1))
-                    active = active[keep]
-                    active_mask[retired] = False
-                    if pipeline is not None:
-                        pipeline.notify_retire(retired, round_index)
-                if heartbeat is not None and heartbeat.due(round_index):
-                    # Retired rows carry their final round in
-                    # rounds_executed; still-active rows have advanced
-                    # round_index rounds each but are only written back at
-                    # loop exit.
-                    heartbeat.beat(
-                        engine=engine,
-                        round_index=round_index,
-                        replicas=num_replicas,
-                        active=int(active.size),
-                        converged=int((convergence >= 0).sum()),
-                        leaderless=int((active_counts == 0).sum()),
-                        rounds_advanced=int(
-                            rounds_executed.sum() + active.size * round_index
-                        ),
-                        kernel=kernel_label,
-                    )
-            if active.size:
-                states[active] = (encoded >> 2).T
-                counts[active] = tables.leader_counts(encoded)
-
-        if active.size:
-            # Replicas still active when the budget ran out (or that never
-            # entered the loop) executed every round and keep their last
-            # leader count.
-            rounds_executed[active] = round_index
-
-        if pipeline is not None:
-            pipeline.finish(rounds_executed.copy())
-
-        converged = (convergence != -1) & (counts == 1)
-        leader_node = np.where(
-            counts == 1, is_leader[states].argmax(axis=1), -1
-        ).astype(np.int64)
-
-        leader_counts: Optional[tuple] = None
-        if count_rows is not None:
-            # Replica r was active for rounds 1..rounds_executed[r], so its
-            # trajectory is a prefix column of the stacked count rows.
-            stacked = np.stack(count_rows)
-            leader_counts = tuple(
-                tuple(int(c) for c in stacked[: rounds_executed[r] + 1, r])
-                for r in range(num_replicas)
-            )
-
-        result = BatchResult(
-            converged=converged,
-            convergence_round=np.where(converged, convergence, -1),
-            rounds_executed=rounds_executed,
-            final_leader_count=counts,
-            leader_node=leader_node,
-            seeds=streams.seed_values,
-            leader_counts=leader_counts,
-            final_states=states.astype(np.int8),
-            protocol_name=compiled.protocol_name,
-            topology_name=self._topology.name,
-        )
+                retire = close_round(
+                    round_index, active, active_counts, None, observed_round
+                )
+                if retire is None:
+                    continue
+                # A retiring replica stops consuming randomness and work
+                # from here on, and its column leaves the encoded block.
+                states[active[retire]] = (encoded[:, retire] >> 2).T
+                keep = ~retire
+                encoded = sized_block(np.compress(keep, encoded, axis=1))
+                active = active[keep]
+            states[active] = (encoded >> 2).T
 
         # What actually ran, for callers and telemetry: the resolved
         # kernel, the per-run fallback (if any) and the compile cost.
@@ -836,31 +703,21 @@ class BatchedEngine:
             "fallback": fallback,
             "compile_seconds": compile_seconds,
         }
-
-        # One telemetry sample per run (a no-op unless a MetricsRegistry is
-        # installed); imported lazily to keep the engine importable without
-        # pulling the telemetry stack.
-        from repro.telemetry.metrics import sample_engine_run
-
         gauges = {
-            "engine.adjacency_dense": (
-                1.0 if isinstance(self._hear_adjacency, np.ndarray) else 0.0
-            ),
+            "engine.adjacency_dense": float(
+                isinstance(self._hear_adjacency, np.ndarray)
+            )
         }
         if compile_seconds is not None:
             gauges["engine.kernel_compile_seconds"] = float(compile_seconds)
-        sample_engine_run(
-            engine,
-            rounds_advanced=int(rounds_executed.sum()),
-            replicas=num_replicas,
-            wall_seconds=time.perf_counter() - run_started,
-            replicas_converged=int(converged.sum()),
-            replicas_leaderless=int((counts == 0).sum()),
+        return ledger.finish(
+            round_index,
+            active,
+            is_leader[states],
+            final_states=states.astype(np.int8),
             cache_stats=self._cache_stats(),
-            kernel=kernel_label,
             gauges=gauges,
         )
-        return result
 
     def _initial_batch(
         self,

@@ -24,11 +24,13 @@ it pins down the randomness discipline:
   order (:func:`draw_uniform_where`); a ``Generator.random(k)`` call yields
   the same doubles as ``k`` scalar ``random()`` calls, so the streams match
   bit for bit.
-* Convergence bookkeeping mirrors the reference loop — the two-round
-  single-leader stability window, the convergence round resetting whenever
-  the candidate count leaves one, and the all-terminated early exit — and a
-  replica that trips either stop condition is *retired in place*: it drops
-  out of the active row index and stops consuming randomness and work.
+* convergence bookkeeping is the shared
+  :class:`~repro.batch.ledger._ReplicaLedger`'s, set to mirror the
+  reference loop: a ``stability_window``-round single-leader streak
+  (default two) checked from round 1 on, the convergence round resetting
+  whenever the candidate count leaves one.  A replica that trips it, or
+  whose nodes have all terminated, is *retired in place*: it drops out of
+  the active row index and stops consuming randomness and work.
 
 Replica ``r`` of a batch seeded with ``seeds[r]`` is therefore identical,
 field for field, to ``run_memory_reference(topology, protocol,
@@ -47,8 +49,7 @@ per-seed fallback path in
 from __future__ import annotations
 
 import abc
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Callable, Dict, Optional, Sequence, Type, Union
 
 import numpy as np
 
@@ -56,14 +57,10 @@ from repro.baselines.emek_keren import EmekKerenStyleElection
 from repro.baselines.gilbert_newport import GilbertNewportKnockout
 from repro.baselines.id_broadcast import IDBroadcastElection
 from repro.batch.engine import hear_adjacency, hear_mask
-from repro.batch.observers import (
-    BatchObserver,
-    BatchRunInfo,
-    ObserverPipeline,
-)
+from repro.batch.ledger import _ReplicaLedger
+from repro.batch.observers import BatchObserver
 from repro.batch.results import BatchResult
 from repro.batch.streams import ReplicaStreams, SeedLike
-from repro.beeping.simulator import default_round_budget
 from repro.core.protocol import MemoryProtocol
 from repro.errors import ConfigurationError
 from repro.graphs.topology import Topology
@@ -337,26 +334,6 @@ def supports_batched_memory(protocol: object) -> bool:
     return isinstance(protocol, MemoryProtocol) and _find_compiler(protocol) is not None
 
 
-def compile_memory_protocol(
-    protocol: MemoryProtocol, topology: Topology
-) -> MemoryBatchState:
-    """Build the batch state for ``protocol``.
-
-    Raises
-    ------
-    ConfigurationError
-        If no batch compiler is registered for the protocol's type.
-    """
-    compiler = _find_compiler(protocol)
-    if compiler is None:
-        raise ConfigurationError(
-            f"memory protocol {getattr(protocol, 'name', protocol)!r} has no "
-            "registered batch implementation; run it through MemorySimulator "
-            "or register one with register_memory_batch_compiler()"
-        )
-    return compiler(protocol, topology)
-
-
 class BatchedMemoryEngine:
     """Simulate ``R`` independent replicas of a memory baseline at once.
 
@@ -416,11 +393,8 @@ class BatchedMemoryEngine:
         state classes); the per-round ``(R, n)`` leader mask and the retire
         machinery work exactly as on the constant-state engine.
         """
-        streams = (
-            seeds if isinstance(seeds, ReplicaStreams) else ReplicaStreams(seeds)
-        )
         return self._run(
-            streams,
+            seeds,
             max_rounds,
             record_leader_counts,
             stop_at_single_leader,
@@ -431,7 +405,7 @@ class BatchedMemoryEngine:
 
     def _run(
         self,
-        streams: ReplicaStreams,
+        seeds: Union[Sequence[SeedLike], ReplicaStreams],
         max_rounds: Optional[int],
         record_leader_counts: bool,
         stop_at_single_leader: bool,
@@ -439,161 +413,55 @@ class BatchedMemoryEngine:
         observers: Sequence[BatchObserver],
         engine: str,
     ) -> BatchResult:
-        """:meth:`run` on prepared streams; ``engine`` labels telemetry.
+        """:meth:`run`, with ``engine`` labelling telemetry.
 
         :class:`~repro.beeping.simulator.MemorySimulator` runs its one seed
         through here, so its heartbeats and metrics keep the ``"memory"``
         label while the round loop is this one.
         """
-        run_started = time.perf_counter()
-        num_replicas = len(streams)
-        if max_rounds is None:
-            max_rounds = default_round_budget(self._topology)
-        if max_rounds < 0:
-            raise ConfigurationError(f"max_rounds must be >= 0; got {max_rounds}")
-
-        n = self._topology.n
+        ledger = _ReplicaLedger(
+            engine,
+            self._topology,
+            self._protocol.name,
+            seeds,
+            max_rounds,
+            record=record_leader_counts,
+            stop=stop_at_single_leader,
+            window=max(1, stability_window),
+            retire_at_start=False,
+        )
+        streams, num_replicas = ledger.streams, ledger.num_replicas
         state = self._compiler(self._protocol, self._topology)
-        state.initialise(num_replicas, n, streams)
-
-        pipeline: Optional[ObserverPipeline] = None
-        if observers:
-            pipeline = ObserverPipeline(
-                observers,
-                BatchRunInfo(
-                    num_replicas=num_replicas,
-                    n=n,
-                    protocol_name=self._protocol.name,
-                    topology_name=self._topology.name,
-                    seeds=streams.seed_values,
-                ),
-            )
+        state.initialise(num_replicas, self._topology.n, streams)
 
         all_rows = np.arange(num_replicas)
-        leaders_full = state.leader_mask(all_rows)
-        counts = leaders_full.sum(axis=1).astype(np.int64)
-        convergence = np.where(counts == 1, 0, -1).astype(np.int64)
-        consecutive = np.where(counts == 1, 1, 0).astype(np.int64)
-        rounds_executed = np.zeros(num_replicas, dtype=np.int64)
-        count_rows: Optional[List[np.ndarray]] = (
-            [counts.copy()] if record_leader_counts else None
-        )
-        window = max(1, stability_window)
-
-        active_mask = np.ones(num_replicas, dtype=bool)
-        if pipeline is not None:
-            requested = pipeline.observe_round(
-                0, None, None, leaders_full, active_mask.copy()
-            )
-            if requested is not None and requested.any():
-                active_mask[requested] = False
-                pipeline.notify_retire(np.flatnonzero(requested), 0)
-        active = np.flatnonzero(active_mask)
-
-        # In-flight heartbeat: looked up once per run; None costs a single
-        # is-not-None check per round, and beats never touch the replica
-        # streams, so records stay byte-identical with heartbeats on or off.
-        from repro.telemetry.heartbeat import current_heartbeat
-
-        heartbeat = current_heartbeat()
+        leaders = state.leader_mask(all_rows)
+        active = ledger.start(leaders.sum(axis=1), observers, (None, None, leaders))
 
         round_index = 0
-        while round_index < max_rounds and active.size:
-            beeping = state.beep_mask(round_index, active)
-            heard = self._heard(beeping)
+        while round_index < ledger.max_rounds and active.size:
+            # Who hears a beep: one stacked product for the batch.
+            beeping = state.beep_mask(round_index, active).T
+            columns = np.ascontiguousarray(beeping, dtype=np.float32)
+            heard = hear_mask(columns, self._hear_adjacency).T
             state.update(heard, round_index, active, streams)
             round_index += 1
-            rounds_executed[active] = round_index
 
-            if pipeline is not None:
-                leaders_full = state.leader_mask(all_rows)
-                active_counts = leaders_full[active].sum(axis=1)
+            observed = None
+            if ledger.pipeline is not None:
+                leaders = state.leader_mask(all_rows)
+                active_counts = leaders[active].sum(axis=1)
+                observed = (None, None, leaders)
             else:
                 active_counts = state.leader_mask(active).sum(axis=1)
-            counts[active] = active_counts
-            hit = active_counts == 1
-            previous = convergence[active]
-            # The convergence round resets whenever the count leaves one,
-            # exactly as the sequential simulator tracks it.
-            convergence[active] = np.where(
-                hit, np.where(previous == -1, round_index, previous), -1
+            retire = ledger.close_round(
+                round_index,
+                active,
+                active_counts,
+                finished=state.terminated_rows(active),
+                observed=observed,
             )
-            consecutive[active] = np.where(hit, consecutive[active] + 1, 0)
-            if count_rows is not None:
-                count_rows.append(counts.copy())
+            if retire is not None:
+                active = active[~retire]
 
-            finished = state.terminated_rows(active)
-            if stop_at_single_leader:
-                finished = finished | (consecutive[active] >= window)
-            if pipeline is not None:
-                requested = pipeline.observe_round(
-                    round_index, None, None, leaders_full, active_mask.copy()
-                )
-                if requested is not None:
-                    finished = finished | requested[active]
-            if finished.any():
-                retired = active[finished]
-                active_mask[retired] = False
-                active = np.flatnonzero(active_mask)
-                if pipeline is not None:
-                    pipeline.notify_retire(retired, round_index)
-            if heartbeat is not None and heartbeat.due(round_index):
-                heartbeat.beat(
-                    engine=engine,
-                    round_index=round_index,
-                    replicas=num_replicas,
-                    active=int(active.size),
-                    converged=int((convergence >= 0).sum()),
-                    leaderless=int((active_counts == 0).sum()),
-                    rounds_advanced=int(rounds_executed.sum()),
-                )
-
-        if pipeline is not None:
-            pipeline.finish(rounds_executed.copy())
-
-        converged = (convergence != -1) & (counts == 1)
-        final_leaders = state.leader_mask(all_rows)
-        leader_node = np.where(
-            counts == 1, final_leaders.argmax(axis=1), -1
-        ).astype(np.int64)
-
-        leader_counts: Optional[tuple] = None
-        if count_rows is not None:
-            stacked = np.stack(count_rows)
-            leader_counts = tuple(
-                tuple(int(c) for c in stacked[: rounds_executed[r] + 1, r])
-                for r in range(num_replicas)
-            )
-
-        result = BatchResult(
-            converged=converged,
-            convergence_round=np.where(converged, convergence, -1),
-            rounds_executed=rounds_executed,
-            final_leader_count=counts,
-            leader_node=leader_node,
-            seeds=streams.seed_values,
-            leader_counts=leader_counts,
-            final_states=None,
-            protocol_name=self._protocol.name,
-            topology_name=self._topology.name,
-        )
-
-        # One telemetry sample per run (a no-op unless a MetricsRegistry is
-        # installed); imported lazily to keep the engine importable without
-        # pulling the telemetry stack.
-        from repro.telemetry.metrics import sample_engine_run
-
-        sample_engine_run(
-            engine,
-            rounds_advanced=int(rounds_executed.sum()),
-            replicas=num_replicas,
-            wall_seconds=time.perf_counter() - run_started,
-            replicas_converged=int(converged.sum()),
-            replicas_leaderless=int((counts == 0).sum()),
-        )
-        return result
-
-    def _heard(self, beeping: np.ndarray) -> np.ndarray:
-        """Who hears a beep, per replica: one stacked product for the batch."""
-        columns = np.ascontiguousarray(beeping.T, dtype=np.float32)
-        return hear_mask(columns, self._hear_adjacency).T
+        return ledger.finish(round_index, active, state.leader_mask(all_rows))

@@ -14,13 +14,14 @@ aggregation stays O(cell), not O(records so far)).
 
 Each event serialises itself with ``to_record()`` into the flat telemetry
 JSONL schema that ``--telemetry`` files and the sweep service's event
-stream share (``"cell"``, ``"shard"`` and ``"progress"`` records).
+stream share (``"cell"``, ``"shard"``, ``"progress"`` and, from
+:func:`summary_record`, ``"summary"`` records).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.batch.kernels import validate_kernel
@@ -120,6 +121,16 @@ class CellCompleted:
         }
 
 
+def summary_record(cells: int, wall_seconds: float, rounds_advanced: int) -> dict:
+    """The ``"summary"`` record closing a sweep's stream: merged-cell totals."""
+    return {
+        "event": "summary",
+        "cells": cells,
+        "wall_seconds": float(wall_seconds),
+        "rounds_advanced": rounds_advanced,
+    }
+
+
 #: ``"progress"`` record keys and the :class:`Heartbeat` fields they carry.
 _BEAT_KEYS = (
     ("engine", "engine"),
@@ -200,13 +211,23 @@ class ShardProgress:
             elapsed_seconds=0.0,
             **{name: record.get(key) for key, name in _BEAT_KEYS},  # type: ignore[arg-type]
         )
+        cell = cells[index]
+        shard = record.get("shard")
+        if shard is not None:
+            # The beat's unit is one of split_cell's consecutive seed
+            # slices, all of one size but the last.
+            size = int(record["replicas"])  # type: ignore[arg-type]
+            start = int(shard) * size  # type: ignore[arg-type]
+            if shard == record["shards"] - 1:  # type: ignore[operator]
+                start = cell.num_replicas - size
+            cell = replace(cell, seeds=cell.seeds[start : start + size])
         return cls(
             index=index,
             total=len(cells),
             backend=backend,
-            cell=cells[index],
+            cell=cell,
             heartbeat=heartbeat,
-            shard_index=record.get("shard"),  # type: ignore[arg-type]
+            shard_index=shard,  # type: ignore[arg-type]
             shard_count=record.get("shards"),  # type: ignore[arg-type]
             attempt=record.get("attempt") or 0,  # type: ignore[arg-type]
         )

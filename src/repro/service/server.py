@@ -87,6 +87,7 @@ from repro.exec.base import (
     _validate_heartbeat_interval,
     _validate_shard_size,
     beat_fields,
+    summary_record,
 )
 from repro.exec.cells import (
     CellOutcome,
@@ -734,16 +735,15 @@ class SweepService:
             if outcome is not None and outcome.wall_seconds is not None
         ]
         sweep.events.append(
-            {
-                "event": "summary",
-                "cells": len(sweep.cells),
-                "wall_seconds": float(sum(wall)),
-                "rounds_advanced": sum(
+            summary_record(
+                len(sweep.cells),
+                sum(wall),
+                sum(
                     outcome.rounds_advanced
                     for outcome in sweep.outcomes
                     if outcome is not None
                 ),
-            }
+            )
         )
 
     # ------------------------------------------------------------------ #

@@ -253,13 +253,12 @@ class ProgressReporter:
                 self._spans.write_jsonl(self.spans_path)
             self._spans = None
         if self._telemetry_file is not None:
+            from repro.exec.base import summary_record
+
             self.emit(
-                {
-                    "event": "summary",
-                    "cells": self._cells,
-                    "wall_seconds": self._wall_seconds,
-                    "rounds_advanced": self._rounds_advanced,
-                }
+                summary_record(
+                    self._cells, self._wall_seconds, self._rounds_advanced
+                )
             )
             self._telemetry_file.close()
             self._telemetry_file = None

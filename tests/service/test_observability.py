@@ -98,18 +98,24 @@ def test_local_and_service_progress_records_share_one_key_set(
     cell = make_cell(seeds=tuple(range(6)))
     path = tmp_path / "telemetry.jsonl"
     with ProgressReporter(quiet=True, telemetry_path=str(path)) as reporter:
-        BatchedBackend(heartbeat_interval=1).run_cells(
+        BatchedBackend(heartbeat_interval=1, shard_size=2).run_cells(
             (cell,), progress=cell_progress_adapter(reporter)
         )
     local = [r for r in iter_telemetry(str(path)) if r["event"] == "progress"]
     client = ServiceClient(beating_service.url)
-    sweep_id = str(client.submit([cell])["id"])
+    sweep_id = str(client.submit([cell], shard_size=2)["id"])
     remote = [
         r for r in _drain_events(client, sweep_id) if r["event"] == "progress"
     ]
     assert local and remote
     assert {frozenset(r) for r in local} == {frozenset(r) for r in remote}
     assert "kernel" in local[0]
+    # A shard's beat carries the shard's replica count, on both sides and
+    # through the event ServiceBackend rebuilds from the wire record.
+    assert {r["replicas"] for r in local + remote} == {2}
+    for record in remote:
+        event = ShardProgress.from_record(record, (cell,), "service")
+        assert event.to_record()["replicas"] == record["replicas"]
 
 
 def test_service_backend_forwards_shard_progress(beating_service):

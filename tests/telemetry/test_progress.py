@@ -226,6 +226,71 @@ def test_sharded_sweep_emits_shard_records_but_summary_counts_cells(tmp_path):
     assert summary["rounds_advanced"] == sum(c["rounds_advanced"] for c in cells)
 
 
+#: The exact keys of every telemetry event kind.  A key added, dropped or
+#: renamed on one side must show up here, for files and the service alike.
+_GOLDEN_KEYS = {
+    "cell": {
+        "event", "index", "total", "backend", "protocol", "graph", "n",
+        "diameter", "replicas", "mean_rounds", "wall_seconds",
+        "rounds_advanced", "metrics",
+    },
+    "shard": {
+        "event", "index", "total", "shard", "shards", "backend", "protocol",
+        "graph", "replicas", "wall_seconds", "rounds_advanced",
+    },
+    "progress": {
+        "event", "index", "total", "shard", "shards", "attempt", "backend",
+        "protocol", "graph", "replicas", "engine", "kernel", "round",
+        "active", "converged", "leaderless", "rounds_advanced",
+        "rounds_per_second",
+    },
+    "summary": {"event", "cells", "wall_seconds", "rounds_advanced"},
+}
+
+#: What the service's event stream adds to its ``"cell"`` records.
+_SERVICE_CELL_KEYS = {"cached", "retries"}
+
+
+def _key_sets(records):
+    sets = {}
+    for record in records:
+        sets.setdefault(record["event"], set()).add(frozenset(record))
+    return sets
+
+
+def test_every_event_kind_has_its_golden_key_set(tmp_path):
+    from repro.exec import BatchedBackend, ExecutionCell
+    from repro.experiments.runner import cell_progress_adapter
+    from repro.service import ServiceClient, SweepService
+
+    cell = ExecutionCell(
+        protocol=ProtocolSpecConfig(name="bfw"),
+        graph=GraphSpec(family="cycle", n=12),
+        seeds=(1, 2, 3, 4),
+    )
+    path = tmp_path / "stream.jsonl"
+    with ProgressReporter(quiet=True, telemetry_path=str(path)) as reporter:
+        BatchedBackend(heartbeat_interval=1, shard_size=2).run_cells(
+            (cell,), progress=cell_progress_adapter(reporter)
+        )
+    local = _key_sets(iter_telemetry(str(path)))
+    assert local == {kind: {frozenset(keys)} for kind, keys in _GOLDEN_KEYS.items()}
+
+    with SweepService(workers=1, heartbeat_interval=1) as daemon:
+        client = ServiceClient(daemon.url)
+        sweep_id = str(client.submit([cell], shard_size=2)["id"])
+        events, cursor = [], 0
+        while True:
+            poll = client.events(sweep_id, cursor=cursor, timeout=15.0)
+            events.extend(poll["events"])
+            cursor = int(poll["cursor"])
+            if poll["done"]:
+                break
+    remote = _key_sets(events)
+    expected = dict(_GOLDEN_KEYS, cell=_GOLDEN_KEYS["cell"] | _SERVICE_CELL_KEYS)
+    assert remote == {kind: {frozenset(keys)} for kind, keys in expected.items()}
+
+
 def test_render_event_shard_format():
     line = render_event(
         {
