@@ -27,9 +27,10 @@ replica-for-replica identical to the loop:
   ``BENCH_dynamics.json``.
 * the batched observation layer (E15): the overhead of recording a full
   ``BatchTrace`` (plus an extinction observer) on a batched run against the
-  untraced run, and the throughput of the batch analysis entry points
-  (``first_beep_round_batch`` / ``summarize_batch``) against the
-  per-replica loop over ``trace.replica(r)``.  Writes
+  untraced run, and the throughput of replaying the recorded trace through
+  the streaming reducers (``trace.replay(StreamingFirstBeep())`` /
+  ``StreamingConvergence()``) against the per-replica loop of the
+  single-trace functions over ``trace.replica(r)``.  Writes
   ``BENCH_observers.json``.
 * the streaming telemetry layer (E16): the overhead of folding the analysis
   reductions online (``Streaming*`` reducers) and of spilling the trace to
@@ -459,22 +460,19 @@ def test_observer_overhead(report):
       leader-extinction observer) to a batched run costs a bounded multiple
       of the untraced run — the per-round price is one int8 copy of the
       ``(R, n)`` state block and two lookup-table gathers;
-    * the batch analysis entry points consume the recorded ``(T+1, R, n)``
-      arrays directly and beat the per-replica loop (rebuild
-      ``trace.replica(r)``, then per-round Python passes) on wall-clock.
+    * replaying the recorded ``(T+1, R, n)`` arrays through the streaming
+      reducers (one pass for all replicas) beats the per-replica loop
+      (rebuild ``trace.replica(r)``, then per-round Python passes) on
+      wall-clock.
 
     The workload is a fixed-horizon run without early stopping — the shape
     trace analysis actually consumes (wave/flow studies and the Section 5
     leaderless demonstrations run all replicas over one shared horizon;
     early-stopped sweeps aggregate scalar outcomes, not traces).
     """
-    from repro.analysis import (
-        first_beep_round,
-        first_beep_round_batch,
-        summarize_batch,
-        summarize_trace,
-    )
+    from repro.analysis import first_beep_round, summarize_trace
     from repro.batch import BatchTraceRecorder, LeaderExtinctionObserver
+    from repro.telemetry import StreamingConvergence, StreamingFirstBeep
 
     topology = cycle_graph(_size(200, 24))
     protocol = BFWProtocol()
@@ -511,9 +509,9 @@ def test_observer_overhead(report):
     overhead = traced_seconds / max(untraced_seconds, 1e-9)
 
     start = time.perf_counter()
-    batch_firsts = first_beep_round_batch(trace)
-    batch_summaries = summarize_batch(trace)
-    batch_analysis_seconds = time.perf_counter() - start
+    replay_firsts = trace.replay(StreamingFirstBeep())
+    replay_summaries = trace.replay(StreamingConvergence())
+    replay_analysis_seconds = time.perf_counter() - start
 
     import numpy as np
 
@@ -521,12 +519,12 @@ def test_observer_overhead(report):
     loop_summaries = []
     for index in range(trace.num_replicas):
         replica = trace.replica(index)
-        np.testing.assert_array_equal(batch_firsts[index], first_beep_round(replica))
+        np.testing.assert_array_equal(replay_firsts[index], first_beep_round(replica))
         loop_summaries.append(summarize_trace(replica))
     loop_analysis_seconds = time.perf_counter() - start
-    assert tuple(loop_summaries) == batch_summaries
+    assert tuple(loop_summaries) == replay_summaries
 
-    analysis_speedup = loop_analysis_seconds / max(batch_analysis_seconds, 1e-9)
+    analysis_speedup = loop_analysis_seconds / max(replay_analysis_seconds, 1e-9)
     payload = {
         "benchmark": "batched-observers",
         "fast_mode": FAST,
@@ -542,9 +540,9 @@ def test_observer_overhead(report):
             "untraced_wall_seconds": untraced_seconds,
             "traced_wall_seconds": traced_seconds,
             "trace_overhead": overhead,
-            "batch_analysis_wall_seconds": batch_analysis_seconds,
+            "replay_analysis_wall_seconds": replay_analysis_seconds,
             "per_replica_analysis_wall_seconds": loop_analysis_seconds,
-            "analysis_speedup_batch_vs_loop": analysis_speedup,
+            "analysis_speedup_replay_vs_loop": analysis_speedup,
         },
     }
     _write_bench_json(BENCH_OBSERVERS_JSON, payload)
@@ -554,14 +552,14 @@ def test_observer_overhead(report):
         f"({len(seeds)} replicas, {topology.name}, {trace.num_rounds} rounds)",
         f"untraced:       {untraced_seconds:8.2f}s\n"
         f"traced:         {traced_seconds:8.2f}s ({overhead:.2f}x)\n"
-        f"analysis batch: {batch_analysis_seconds:8.3f}s\n"
+        f"analysis replay: {replay_analysis_seconds:7.3f}s\n"
         f"analysis loop:  {loop_analysis_seconds:8.3f}s "
         f"({analysis_speedup:.2f}x)\n"
         f"json:           {BENCH_OBSERVERS_JSON}",
     )
     if not FAST and STRICT:
         assert analysis_speedup >= 1.5, (
-            f"batch analysis entry points must beat the per-replica loop; "
+            f"replaying the trace must beat the per-replica loop; "
             f"measured {analysis_speedup:.2f}x"
         )
         assert overhead <= 10.0, (
@@ -584,21 +582,21 @@ def test_streaming_telemetry_overhead(report, tmp_path):
       the window size — the peak resident window is a small fraction of the
       in-memory ``BatchTrace`` — while replaying byte-identically;
     * both paths leave the physics untouched: replica results match the
-      untraced run, streamed values equal the post-hoc reductions of the
-      in-memory trace, and the spilled trace rehydrates to it exactly.
+      untraced run, streamed values equal the single-trace reference
+      functions on every replica of the in-memory trace, and the spilled
+      trace rehydrates to it exactly.
     """
     import numpy as np
 
     from repro.analysis import (
-        beep_count_matrix_batch,
-        first_beep_round_batch,
-        summarize_batch,
+        beep_count_matrix,
+        first_beep_round,
+        summarize_trace,
     )
-    from repro.batch import BatchTraceRecorder
+    from repro.batch import BatchBeepCountTracker, BatchTraceRecorder
     from repro.telemetry import (
         MetricsRegistry,
         SpillingTraceRecorder,
-        StreamingBeepTotals,
         StreamingConvergence,
         StreamingFirstBeep,
         StreamingInvariantChecker,
@@ -631,7 +629,7 @@ def test_streaming_telemetry_overhead(report, tmp_path):
         observed["streams"] = {
             "first-beep": StreamingFirstBeep(),
             "invariants": StreamingInvariantChecker(),
-            "beep-totals": StreamingBeepTotals(),
+            "beep-totals": BatchBeepCountTracker(),
             "convergence": StreamingConvergence(),
         }
         observed["registry"] = MetricsRegistry()
@@ -664,16 +662,16 @@ def test_streaming_telemetry_overhead(report, tmp_path):
     spilled = spiller.trace()
     assert spilled.load() == trace
 
-    # streamed values == the post-hoc reductions of the recorded history
-    np.testing.assert_array_equal(
-        streams["first-beep"].result(), first_beep_round_batch(trace)
-    )
-    assert streams["convergence"].result() == summarize_batch(trace)
-    matrix = beep_count_matrix_batch(trace)
+    # streamed values == the single-trace references, replica by replica
+    firsts = streams["first-beep"].result()
+    summaries = streams["convergence"].result()
     totals = streams["beep-totals"].result()
-    for replica in range(trace.num_replicas):
-        last = int(trace.rounds_executed[replica])
-        np.testing.assert_array_equal(totals[replica], matrix[last, replica])
+    for index, replica in enumerate(trace.to_traces()):
+        np.testing.assert_array_equal(firsts[index], first_beep_round(replica))
+        assert summaries[index] == summarize_trace(replica)
+        np.testing.assert_array_equal(
+            totals[index], beep_count_matrix(replica)[-1]
+        )
     assert streams["invariants"].result().ok
 
     # and the run metrics were sampled exactly once, with the right totals

@@ -1,21 +1,24 @@
 """Analysis of executions: flow, Ohm's law, invariants, convergence, waves.
 
-Every trace-consuming module has batch entry points (``*_batch``) that take
-a :class:`~repro.batch.trace.BatchTrace` and analyse all ``R`` replicas in
-vectorised passes over the shared ``(T + 1, R, n)`` arrays — no per-replica
-Python loops.
+The functions here take one :class:`~repro.beeping.trace.ExecutionTrace`
+and are the readable reference for each reduction.  A recorded
+:class:`~repro.batch.trace.BatchTrace` is analysed by replaying it through
+the matching streaming reducer of :mod:`repro.telemetry.reducers` —
+``trace.replay(StreamingFirstBeep())``, ``StreamingWaveFronts()``,
+``StreamingConvergence()``, or
+``trace.replay(StreamingInvariantChecker()).raise_if_violated()`` — which
+computes all ``R`` replicas in one pass and equals the per-replica
+references exactly.  Flow and Ohm's law, which have no streaming form, keep
+their ``*_batch`` entry points over the shared ``(T + 1, R, n)`` arrays.
 
-The streaming counterparts of those reductions — the ``Streaming*``
-observers of :mod:`repro.telemetry.reducers`, proven equal to the post-hoc
-functions by the telemetry parity suite — are re-exported here lazily (PEP
-562), so ``from repro.analysis import StreamingConvergence`` works without
-this package importing the telemetry stack eagerly (telemetry's reducers
-import this package).
+The streaming reducers are re-exported here lazily (PEP 562), so
+``from repro.analysis import StreamingConvergence`` works without this
+package importing the telemetry stack eagerly (telemetry's reducers import
+this package).
 """
 
 from repro.analysis.beep_counts import (
     beep_count_matrix,
-    beep_count_matrix_batch,
     beep_count_spread,
     beep_counts_at,
     leader_beep_counts,
@@ -28,7 +31,6 @@ from repro.analysis.convergence import (
     elimination_times,
     half_life_round,
     require_convergence,
-    summarize_batch,
     summarize_result,
     summarize_trace,
 )
@@ -54,11 +56,8 @@ from repro.analysis.invariants import (
     check_claim6,
     check_distance_bound_all_rounds,
     check_leader_always_exists,
-    check_leader_always_exists_batch,
     check_leader_count_nonincreasing,
-    check_leader_count_nonincreasing_batch,
     check_max_beep_count_is_leader,
-    check_max_beep_count_is_leader_batch,
     check_wave_propagation,
 )
 from repro.analysis.ohm import (
@@ -74,11 +73,9 @@ from repro.analysis.waves import (
     boundary_positions,
     count_waves_on_path,
     first_beep_round,
-    first_beep_round_batch,
     path_meeting_points,
     wave_arrival_times,
     wave_fronts,
-    wave_fronts_batch,
 )
 
 __all__ = [
@@ -91,7 +88,6 @@ __all__ = [
     "OnlineInvariantChecker",
     "WaveFront",
     "beep_count_matrix",
-    "beep_count_matrix_batch",
     "beep_count_spread",
     "beep_counts_at",
     "boundary_positions",
@@ -102,11 +98,8 @@ __all__ = [
     "check_flow_conservation",
     "check_flow_conservation_batch",
     "check_leader_always_exists",
-    "check_leader_always_exists_batch",
     "check_leader_count_nonincreasing",
-    "check_leader_count_nonincreasing_batch",
     "check_max_beep_count_is_leader",
-    "check_max_beep_count_is_leader_batch",
     "check_ohms_law",
     "check_ohms_law_batch",
     "check_ohms_law_on_random_paths",
@@ -116,7 +109,6 @@ __all__ = [
     "edge_flow",
     "elimination_times",
     "first_beep_round",
-    "first_beep_round_batch",
     "flow_history",
     "flow_history_batch",
     "half_life_round",
@@ -130,18 +122,15 @@ __all__ = [
     "path_meeting_points",
     "require_convergence",
     "sample_random_path",
-    "summarize_batch",
     "summarize_result",
     "summarize_trace",
     "validate_path",
     "wave_arrival_times",
     "wave_fronts",
-    "wave_fronts_batch",
 ]
 
 #: Streaming-reducer names resolved lazily from :mod:`repro.telemetry.reducers`.
 _STREAMING_EXPORTS = (
-    "StreamingBeepTotals",
     "StreamingConvergence",
     "StreamingFirstBeep",
     "StreamingInvariantChecker",

@@ -13,7 +13,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.batch.trace import BatchTrace
 from repro.beeping.trace import ExecutionTrace
 from repro.graphs.topology import Topology
 
@@ -30,20 +29,6 @@ def beep_count_matrix(trace: ExecutionTrace) -> np.ndarray:
         counts = counts + trace.beeping_mask(round_index)
         rows.append(counts.copy())
     return np.vstack(rows)
-
-
-def beep_count_matrix_batch(trace: BatchTrace) -> np.ndarray:
-    """``N^beep`` for every replica: array of shape ``(T + 1, R, n)``.
-
-    The batch entry point of :func:`beep_count_matrix`: one cumulative sum
-    over the shared beep history.  Rows past a replica's retirement
-    accumulate its frozen final configuration; slice with
-    :meth:`~repro.batch.trace.BatchTrace.valid_mask` (or compare only rows
-    ``t <= rounds_executed[r]``) when exact per-replica prefixes matter.
-    """
-    return np.cumsum(
-        trace.beeping_history().astype(np.int64), axis=0, dtype=np.int64
-    )
 
 
 def beep_counts_at(trace: ExecutionTrace, round_index: int) -> np.ndarray:

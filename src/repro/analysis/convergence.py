@@ -13,7 +13,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.trace import BatchTrace
 from repro.beeping.simulator import SimulationResult
 from repro.beeping.trace import ExecutionTrace
 from repro.errors import ConvergenceError
@@ -61,50 +60,6 @@ def summarize_trace(trace: ExecutionTrace) -> ConvergenceSummary:
         initial_leader_count=trace.leader_count(0),
         final_leader_count=trace.leader_count(trace.num_rounds),
     )
-
-
-def summarize_batch(trace: BatchTrace) -> Tuple[ConvergenceSummary, ...]:
-    """One :class:`ConvergenceSummary` per replica of a batch trace.
-
-    The batch entry point of :func:`summarize_trace`: the convergence
-    rounds of all replicas come from one vectorised pass over the shared
-    ``(T + 1, R)`` leader-count array — entry ``r`` equals
-    ``summarize_trace(trace.replica(r))``.
-    """
-    counts = trace.leader_counts()
-    rounds = trace.rounds_executed
-    total_rows, num_replicas = counts.shape
-    replica_index = np.arange(num_replicas)
-    row_index = np.arange(total_rows)[:, None]
-    valid = row_index <= rounds[None, :]
-    final_counts = counts[rounds, replica_index]
-    converged = final_counts == 1
-    # Last live row where the configuration was NOT single-leader; the
-    # convergence round is the row after it (0 if every live row is single).
-    not_single = (counts != 1) & valid
-    last_not_single = np.where(not_single, row_index, -1).max(axis=0)
-    convergence = last_not_single + 1
-
-    final_leaders = trace.leader_history()[rounds, replica_index]
-    summaries = []
-    for replica in range(num_replicas):
-        winner: Optional[int] = None
-        if converged[replica]:
-            elected = np.flatnonzero(final_leaders[replica])
-            winner = int(elected[0]) if len(elected) == 1 else None
-        summaries.append(
-            ConvergenceSummary(
-                converged=bool(converged[replica]),
-                convergence_round=(
-                    int(convergence[replica]) if converged[replica] else None
-                ),
-                winner=winner,
-                rounds_executed=int(rounds[replica]),
-                initial_leader_count=int(counts[0, replica]),
-                final_leader_count=int(final_counts[replica]),
-            )
-        )
-    return tuple(summaries)
 
 
 def summarize_result(result: SimulationResult) -> ConvergenceSummary:

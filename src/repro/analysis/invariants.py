@@ -29,7 +29,6 @@ from repro.batch.observers import (  # noqa: F401  (re-exported: the batch-
     LeaderExtinctionObserver,  # shaped invariant-violation observer lives
     LeaderExtinctionReport,  # with the engines' observer layer)
 )
-from repro.batch.trace import BatchTrace
 from repro.beeping.observers import Observer, RoundSnapshot
 from repro.beeping.trace import ExecutionTrace
 from repro.core.states import State
@@ -190,59 +189,6 @@ def check_max_beep_count_is_leader(trace: ExecutionTrace) -> None:
                 f"proof invariant of Lemma 9 violated at round {round_index}: "
                 "no leader has the maximal beep count"
             )
-
-
-def check_leader_always_exists_batch(trace: BatchTrace) -> None:
-    """Verify Lemma 9 for every replica of a batch trace at once.
-
-    The batch entry point of :func:`check_leader_always_exists`: one
-    vectorised pass over the shared ``(T + 1, R)`` leader counts, skipping
-    frozen rows past each replica's retirement.
-    """
-    bad = (trace.leader_counts() == 0) & trace.valid_mask()
-    if bad.any():
-        round_index, replica = (int(v) for v in np.argwhere(bad)[0])
-        raise InvariantViolation(
-            f"Lemma 9 violated: no leader in round {round_index} of replica "
-            f"{replica}"
-        )
-
-
-def check_leader_count_nonincreasing_batch(trace: BatchTrace) -> None:
-    """Verify the non-increasing leader count for every replica at once.
-
-    The batch entry point of :func:`check_leader_count_nonincreasing`.
-    """
-    counts = trace.leader_counts()
-    increases = (np.diff(counts, axis=0) > 0) & trace.valid_mask()[1:]
-    if increases.any():
-        round_index, replica = (int(v) for v in np.argwhere(increases)[0])
-        raise InvariantViolation(
-            f"leader count increased from {int(counts[round_index, replica])} "
-            f"to {int(counts[round_index + 1, replica])} between rounds "
-            f"{round_index} and {round_index + 1} of replica {replica}"
-        )
-
-
-def check_max_beep_count_is_leader_batch(trace: BatchTrace) -> None:
-    """Verify Lemma 9's proof invariant for every replica at once.
-
-    The batch entry point of :func:`check_max_beep_count_is_leader`: the
-    cumulative beep counts of all replicas come from one pass over the
-    shared beep history.
-    """
-    counts = np.cumsum(
-        trace.beeping_history().astype(np.int64), axis=0, dtype=np.int64
-    )
-    maximal = counts == counts.max(axis=2, keepdims=True)
-    ok = (maximal & trace.leader_history()).any(axis=2)
-    bad = ~ok & trace.valid_mask()
-    if bad.any():
-        round_index, replica = (int(v) for v in np.argwhere(bad)[0])
-        raise InvariantViolation(
-            f"proof invariant of Lemma 9 violated at round {round_index} of "
-            f"replica {replica}: no leader has the maximal beep count"
-        )
 
 
 def check_distance_bound_all_rounds(

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.beep_counts import beep_count_matrix, beep_count_matrix_batch
+from repro.analysis.beep_counts import beep_count_matrix
 from repro.analysis.flow import flow_history_batch, path_flow, validate_path
 from repro.batch.trace import BatchTrace
 from repro.beeping.trace import ExecutionTrace
@@ -95,8 +95,8 @@ def check_ohms_law_batch(
 
     The batch entry point of :func:`check_ohms_law`: flows come from
     :func:`~repro.analysis.flow.flow_history_batch` and beep counts from
-    :func:`~repro.analysis.beep_counts.beep_count_matrix_batch`, both one
-    vectorised pass over the shared ``(T + 1, R, n)`` state array.  Only
+    one cumulative sum over the shared beep history, both one vectorised
+    pass over the ``(T + 1, R, n)`` state array.  Only
     rounds a replica actually executed are checked (rows past retirement
     repeat the frozen configuration while the cumulative counts keep
     growing, so the law is not meaningful there).  Per replica, the
@@ -112,7 +112,7 @@ def check_ohms_law_batch(
     if len(path) < 2:
         return violations
     flows = flow_history_batch(trace, path)
-    counts = beep_count_matrix_batch(trace)
+    counts = np.cumsum(trace.beeping_history(), axis=0, dtype=np.int64)
     start, end = path[0], path[-1]
     differences = counts[:, :, start] - counts[:, :, end]
     mismatch = (flows != differences) & trace.valid_mask()

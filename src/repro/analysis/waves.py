@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.batch.trace import BatchTrace
 from repro.beeping.trace import ExecutionTrace
 from repro.errors import TraceError
 from repro.graphs.topology import Topology
@@ -57,48 +56,6 @@ def first_beep_round(trace: ExecutionTrace) -> np.ndarray:
         unseen = (firsts == -1) & mask
         firsts[unseen] = t
     return firsts
-
-
-def first_beep_round_batch(trace: BatchTrace) -> np.ndarray:
-    """First beep round of every replica and node: ``(R, n)``, ``-1`` if never.
-
-    The batch entry point of :func:`first_beep_round`: one vectorised pass
-    over the ``(T + 1, R, n)`` beep history instead of a per-replica Python
-    loop.  Frozen rows past a replica's retirement repeat its final live
-    row, so they can neither advance nor invent a first beep — row ``r`` of
-    the result equals ``first_beep_round(trace.replica(r))`` exactly.
-    """
-    beeping = trace.beeping_history()
-    firsts = beeping.argmax(axis=0).astype(np.int64)
-    firsts[~beeping.any(axis=0)] = -1
-    return firsts
-
-
-def wave_fronts_batch(
-    trace: BatchTrace,
-) -> Tuple[Tuple[WaveFront, ...], ...]:
-    """The beeping fronts of every replica, from one pass over the batch.
-
-    Replica ``r``'s entry equals ``wave_fronts(trace.replica(r))`` — fronts
-    are extracted from the shared ``(T + 1, R, n)`` beep history instead of
-    rebuilding each replica's trace and re-deriving its masks.
-    """
-    beeping = trace.beeping_history()
-    fronts: List[Tuple[WaveFront, ...]] = []
-    for replica in range(trace.num_replicas):
-        last = int(trace.rounds_executed[replica])
-        fronts.append(
-            tuple(
-                WaveFront(
-                    round_index=t,
-                    nodes=tuple(
-                        int(node) for node in np.flatnonzero(beeping[t, replica])
-                    ),
-                )
-                for t in range(last + 1)
-            )
-        )
-    return tuple(fronts)
 
 
 def wave_arrival_times(

@@ -388,7 +388,12 @@ class BatchLeaderCountTracker(BatchObserver):
 
 
 class BatchBeepCountTracker(BatchObserver):
-    """Accumulate ``N^beep_t(u)`` for every replica and node, on-line."""
+    """Accumulate ``N^beep_t(u)`` for every replica and node, on-line.
+
+    Only active rows count, so the result is each replica's ``N^beep`` at
+    its own last executed round — ``beep_count_matrix(trace.replica(r))[-1]``
+    (also registered as the ``streaming-beep-totals`` kind).
+    """
 
     def __init__(self, keep_history: bool = False) -> None:
         self._counts: Optional[np.ndarray] = None
@@ -396,7 +401,10 @@ class BatchBeepCountTracker(BatchObserver):
         self.history: List[np.ndarray] = []
 
     def on_start(self, info: BatchRunInfo) -> None:
-        self._counts = np.zeros((info.num_replicas, info.n), dtype=np.int64)
+        # Accumulated in int32 (half the memory traffic per round) and
+        # handed out as int64; counts are bounded by the round budget, far
+        # below the int32 ceiling.
+        self._counts = np.zeros((info.num_replicas, info.n), dtype=np.int32)
         self.history = []
 
     def on_round(
@@ -417,16 +425,21 @@ class BatchBeepCountTracker(BatchObserver):
                 "engines report no beeping classification"
             )
         active = np.asarray(active_mask, dtype=bool)
-        self._counts[active] += beeping[active].astype(np.int64)
+        if active.all():
+            # Fast path: `where=` ufunc loops are buffered and measurably
+            # slower than plain in-place adds on the all-active common case.
+            self._counts += beeping
+        else:
+            np.add(self._counts, beeping, out=self._counts, where=active[:, None])
         if self._keep_history:
-            self.history.append(self._counts.copy())
+            self.history.append(self._counts.astype(np.int64))
 
     @property
     def counts(self) -> np.ndarray:
-        """Current ``(R, n)`` cumulative beep counts."""
+        """Current ``(R, n)`` cumulative beep counts (int64)."""
         if self._counts is None:
             raise SimulationError("no rounds observed yet")
-        return self._counts.copy()
+        return self._counts.astype(np.int64)
 
     def result(self) -> np.ndarray:
         return self.counts

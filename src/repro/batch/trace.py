@@ -8,9 +8,10 @@ rounds, so rows past a replica's last executed round hold its *frozen* final
 configuration — exactly what the batched engines keep in their state array.
 That convention makes :meth:`BatchTrace.replica` exact: slicing replica
 ``r``'s first ``rounds_executed[r] + 1`` rows reproduces the standalone
-single-run trace byte for byte (the parity harness enforces this), while the
-full array stays directly consumable by the batch entry points of
-:mod:`repro.analysis` — no per-replica Python loops.
+single-run trace byte for byte (the parity harness enforces this), while
+:meth:`BatchTrace.replay` feeds the full array, row by row, to any batch
+observer — the streaming reducers of :mod:`repro.telemetry.reducers` then
+analyse a recorded batch exactly as they would have analysed the live run.
 
 Traces recorded replica by replica (the sequential execution backend) are
 merged back into the same representation by :meth:`BatchTrace.from_traces`,
@@ -32,7 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover
     # Runtime imports happen inside the methods: importing the beeping
     # package here would re-enter it while its observers module is loading
     # this package's observer layer (beeping.observers -> batch.observers ->
-    # batch.trace must therefore stay free of module-level beeping imports).
+    # batch.trace must therefore stay free of module-level beeping imports,
+    # and of batch.observers, which imports this module).
+    from repro.batch.observers import BatchObserver
     from repro.beeping.trace import ExecutionTrace
 
 
@@ -130,13 +133,19 @@ class BatchTrace:
         return rounds <= self.rounds_executed[None, :]
 
     # ------------------------------------------------------------------ #
-    # Batch-shaped views (what the analysis entry points consume)
+    # Batch-shaped views and replay
     # ------------------------------------------------------------------ #
 
     def _membership(self, values: Tuple[int, ...]) -> np.ndarray:
-        mask = np.zeros(self.states.shape, dtype=bool)
-        for value in values:
-            mask |= self.states == value
+        if not values:
+            return np.zeros(self.states.shape, dtype=bool)
+        # The first compare writes the mask; the rest reuse one buffer (a
+        # fresh temporary per value costs a page-faulting allocation).
+        mask = self.states == values[0]
+        scratch = np.empty_like(mask)
+        for value in values[1:]:
+            np.equal(self.states, value, out=scratch)
+            mask |= scratch
         return mask
 
     def beeping_history(self) -> np.ndarray:
@@ -150,6 +159,50 @@ class BatchTrace:
     def leader_counts(self) -> np.ndarray:
         """``(T + 1, R)`` leader counts for every round and replica."""
         return self.leader_history().sum(axis=2)
+
+    def replay(self, observer: "BatchObserver") -> object:
+        """Drive ``observer`` over the recorded rounds; returns its result.
+
+        The hooks run in the engines' own order, through the same
+        :class:`~repro.batch.observers.ObserverPipeline`: row ``t`` is
+        reported with ``valid_mask()[t]`` as the active mask, replicas whose
+        last row is ``t < T`` are retired after it, and ``on_finish`` gets
+        ``rounds_executed``.  On the final row a trace cannot tell a stop
+        from an exhausted budget, so nobody is retired there, and retire
+        requests are ignored — the recording already fixed every replica's
+        length.  ``trace.replay(StreamingFirstBeep())`` thus equals
+        ``first_beep_round`` on every ``trace.replica(r)``, in one pass.
+        """
+        from repro.batch.observers import BatchRunInfo, ObserverPipeline
+
+        pipeline = ObserverPipeline(
+            (observer,),
+            BatchRunInfo(
+                num_replicas=self.num_replicas,
+                n=self.n,
+                protocol_name=self.protocol_name,
+                topology_name=self.topology_name,
+                beeping_values=self.beeping_values,
+                leader_values=self.leader_values,
+                seeds=self.seeds,
+            ),
+        )
+        beeping = self.beeping_history()
+        leaders = self.leader_history()
+        valid = self.valid_mask()
+        last = self.num_rounds
+        retiring = {
+            int(t): np.flatnonzero(self.rounds_executed == t)
+            for t in np.unique(self.rounds_executed[self.rounds_executed < last])
+        }
+        for t in range(last + 1):
+            pipeline.observe_round(
+                t, self.states[t], beeping[t], leaders[t], valid[t]
+            )
+            if t in retiring:
+                pipeline.notify_retire(retiring[t], t)
+        pipeline.finish(self.rounds_executed.copy())
+        return observer.result()
 
     # ------------------------------------------------------------------ #
     # Per-replica views

@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -93,9 +94,10 @@ class ExecutionCell:
         Optional shared round budget (``None`` uses the engine default).
     planted_leaders:
         Optional node indices to start as planted leaders (the lower-bound
-        experiment's adversarial initial states).  Negative indices count
-        from the end of the node range, so ``(0, -1)`` plants the two
-        diametral endpoints of a path without knowing ``n`` in advance.
+        experiment's adversarial initial states), each in ``[-n, n)`` for
+        the built graph's ``n``.  Negative indices count from the end of
+        the node range, so ``(0, -1)`` plants the two diametral endpoints
+        of a path without knowing ``n`` in advance.
     graph_rng_key:
         Optional override for the graph generator's seed derivation, as the
         key tuple handed to :func:`~repro.experiments.seeds.rng_from`.  The
@@ -246,6 +248,24 @@ def _spec_section(spec: Mapping[str, object], key: str, what: str) -> Mapping[st
     return value
 
 
+def _spec_int(value: object, name: str) -> int:
+    """``value`` as an ``int``; bools, floats and everything else are refused
+    (never truncated), with an error naming the spec field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(
+            f"cell spec {name} must be an integer; got {value!r}"
+        )
+    return int(value)
+
+
+def _spec_int_list(value: object, name: str) -> Tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(
+            f"cell spec {name} must be a list of integers; got {value!r}"
+        )
+    return tuple(_spec_int(item, name) for item in value)
+
+
 def cell_from_spec(spec: Mapping[str, object]) -> ExecutionCell:
     """Rebuild an :class:`ExecutionCell` from its :func:`cell_to_spec` dict.
 
@@ -253,7 +273,8 @@ def cell_from_spec(spec: Mapping[str, object]) -> ExecutionCell:
     round-trip: lists where the cell held tuples).  Malformed specs raise
     :class:`~repro.errors.ConfigurationError` naming the offending field,
     so an HTTP daemon can turn them into a clean 400 instead of a stack
-    trace.
+    trace.  Planted leaders are checked against the built graph's node
+    range here, at the boundary, rather than when a worker runs the cell.
     """
     from repro.experiments.config import GraphSpec, ProtocolSpecConfig
 
@@ -299,24 +320,31 @@ def cell_from_spec(spec: Mapping[str, object]) -> ExecutionCell:
     planted = spec.get("planted_leaders")
     graph_rng_key = spec.get("graph_rng_key")
     max_rounds = spec.get("max_rounds")
-    return ExecutionCell(
+    cell = ExecutionCell(
         protocol=ProtocolSpecConfig(
             name=str(protocol_spec["name"]),
             params=dict(protocol_spec.get("params") or {}),
         ),
         graph=GraphSpec(
             family=str(graph_spec["family"]),
-            n=int(graph_spec["n"]),
-            seed=int(graph_spec.get("seed", 0)),
+            n=_spec_int(graph_spec["n"], "graph.n"),
+            seed=_spec_int(graph_spec.get("seed", 0), "graph.seed"),
         ),
-        seeds=tuple(int(seed) for seed in seeds),
-        max_rounds=None if max_rounds is None else int(max_rounds),
-        planted_leaders=None if planted is None else tuple(int(p) for p in planted),
+        seeds=_spec_int_list(seeds, "seeds"),
+        max_rounds=(
+            None if max_rounds is None else _spec_int(max_rounds, "max_rounds")
+        ),
+        planted_leaders=(
+            None if planted is None else _spec_int_list(planted, "planted_leaders")
+        ),
         graph_rng_key=None if graph_rng_key is None else tuple(graph_rng_key),
         schedule=schedule,
         observers=tuple(observers),
         kernel=None if spec.get("kernel") is None else str(spec["kernel"]),
     )
+    if cell.planted_leaders is not None:
+        _planted_nodes(cell.planted_leaders, cell.build_topology().n)
+    return cell
 
 
 def canonical_cell_json(cell: ExecutionCell) -> str:
@@ -597,6 +625,17 @@ def merge_cell_outcomes(
     )
 
 
+def _planted_nodes(planted: Sequence[int], n: int) -> Tuple[int, ...]:
+    """Planted leader indices in ``[-n, n)``, negatives counted from the end."""
+    for node in planted:
+        if not -n <= node < n:
+            raise ConfigurationError(
+                f"planted_leaders entry {node} is outside [-{n}, {n}) for a "
+                f"{n}-node graph"
+            )
+    return tuple(node % n for node in planted)
+
+
 def _build_cell(cell: ExecutionCell):
     """Topology, protocol, planted initial states and schedule for a cell."""
     from repro.beeping.adversary import planted_leaders_initial_states
@@ -610,7 +649,7 @@ def _build_cell(cell: ExecutionCell):
     initial_states = None
     if cell.planted_leaders is not None:
         initial_states = planted_leaders_initial_states(
-            topology, tuple(node % topology.n for node in cell.planted_leaders)
+            topology, _planted_nodes(cell.planted_leaders, topology.n)
         )
     schedule = None
     if cell.schedule is not None:

@@ -3,9 +3,9 @@
 The three halves of the layer (ROADMAP item 3):
 
 * :mod:`repro.telemetry.reducers` — the ``Streaming*`` observer family that
-  folds the post-hoc batch reductions (first beep rounds, wave fronts, the
-  ``check_*_batch`` invariants, beep-count totals, convergence summaries)
-  into ``O(R · n)`` online accumulators;
+  folds the trace analysis reductions (first beep rounds, wave fronts, the
+  Lemma 9 invariants, convergence summaries) into ``O(R · n)`` online
+  accumulators, live or over a recorded trace via ``BatchTrace.replay``;
 * :mod:`repro.telemetry.spill` — :class:`SpillingTraceRecorder` /
   :class:`SpilledTrace`, the out-of-core trace pair recording under a byte
   budget with byte-identical replica replay;
@@ -48,7 +48,6 @@ from repro.telemetry.progress import (
 )
 from repro.telemetry.reducers import (
     STREAMING_KINDS,
-    StreamingBeepTotals,
     StreamingConvergence,
     StreamingFirstBeep,
     StreamingInvariantChecker,
@@ -82,7 +81,6 @@ __all__ = [
     "SpanRecorder",
     "SpilledTrace",
     "SpillingTraceRecorder",
-    "StreamingBeepTotals",
     "StreamingConvergence",
     "StreamingFirstBeep",
     "StreamingInvariantChecker",

@@ -1,27 +1,33 @@
-"""Streaming reducers: the batch analysis reductions as online observers.
+"""Streaming reducers: the trace analysis reductions as online observers.
 
-Every reduction in :mod:`repro.analysis` that consumes a recorded
-:class:`~repro.batch.trace.BatchTrace` has a streaming sibling here — a
+Every reduction in :mod:`repro.analysis` that consumes a whole recorded
+trace has a streaming form here — a
 :class:`~repro.batch.observers.BatchObserver` that folds the same quantity
 into an ``O(R · n)`` accumulator *while the engine runs*, so sweeps at
 scales where the ``(T + 1, R, n)`` history cannot be materialised still get
-their analysis results:
+their analysis results.  A recorded :class:`~repro.batch.trace.BatchTrace`
+is analysed the same way, by :meth:`~repro.batch.trace.BatchTrace.replay`:
 
 ==========================  =====================================================
-observer kind               equals the post-hoc function
+observer kind               equals, for every ``replica = trace.replica(r)``
 ==========================  =====================================================
-``streaming-first-beep``    :func:`repro.analysis.first_beep_round_batch`
-``streaming-wave-fronts``   :func:`repro.analysis.wave_fronts_batch`
-``streaming-invariants``    the three ``check_*_batch`` invariant checks
-``streaming-beep-totals``   ``beep_count_matrix_batch(trace)[rounds[r], r]``
-``streaming-convergence``   :func:`repro.analysis.summarize_batch`
+``streaming-first-beep``    :func:`repro.analysis.first_beep_round`
+``streaming-wave-fronts``   :func:`repro.analysis.wave_fronts`
+``streaming-invariants``    the violation round of each ``check_*`` of Lemma 9
+``streaming-beep-totals``   ``beep_count_matrix(replica)[-1]``
+``streaming-convergence``   :func:`repro.analysis.summarize_trace`
 ==========================  =====================================================
+
+The ``check_*`` functions are ``check_leader_always_exists``,
+``check_leader_count_nonincreasing`` and ``check_max_beep_count_is_leader``;
+``streaming-beep-totals`` builds the engines' own
+:class:`~repro.batch.observers.BatchBeepCountTracker`.
 
 The equality is exact (bit-equal, enforced by the telemetry parity suite on
 every backend): the engines report round ``t`` to observers *before* retiring
 replicas for ``t``, so "replica active at ``on_round(t)``" coincides with
 "row ``t`` inside ``BatchTrace.valid_mask()``", and accumulating over active
-rows reproduces the valid-masked post-hoc computation row for row.
+rows reproduces each replica's own trace row for row.
 
 All reducers register themselves as :class:`ObserverSpec` kinds on import;
 :mod:`repro.batch.observers` imports this module lazily the first time an
@@ -32,7 +38,7 @@ package explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +46,7 @@ import numpy as np
 from repro.analysis.convergence import ConvergenceSummary
 from repro.analysis.waves import WaveFront
 from repro.batch.observers import (
+    BatchBeepCountTracker,
     BatchObserver,
     BatchRunInfo,
     register_observer_kind,
@@ -47,7 +54,6 @@ from repro.batch.observers import (
 from repro.errors import ConfigurationError, InvariantViolation, SimulationError
 
 __all__ = [
-    "StreamingBeepTotals",
     "StreamingConvergence",
     "StreamingFirstBeep",
     "StreamingInvariantChecker",
@@ -66,12 +72,12 @@ def _require_constant_state(beeping: Optional[np.ndarray], what: str) -> np.ndar
 
 
 class StreamingFirstBeep(BatchObserver):
-    """Online ``first_beep_round_batch``: first beep round per replica and node.
+    """Online ``first_beep_round``: first beep round per replica and node.
 
     Keeps one ``(R, n)`` array; a node's entry is set the first round it
-    beeps while its replica is active, which is exactly the first occurrence
-    the post-hoc ``argmax`` over the beep history finds (frozen rows repeat
-    a row already inside the valid range, so they can never be first).
+    beeps while its replica is active, which is exactly the first beep in
+    that replica's own trace (frozen rows repeat a row already inside the
+    valid range, so they can never be first).
     """
 
     def __init__(self) -> None:
@@ -115,12 +121,11 @@ class StreamingFirstBeep(BatchObserver):
 
 
 class StreamingWaveFronts(BatchObserver):
-    """Online ``wave_fronts_batch``: per-round beeping fronts, per replica.
+    """Online ``wave_fronts``: per-round beeping fronts, per replica.
 
     The front *sequence* is the result, so memory is proportional to the
     output (one tuple of node indices per executed round and replica) — but
-    never to the ``(T + 1, R, n)`` state history the post-hoc function
-    needs.
+    never to the ``(T + 1, R, n)`` state history.
     """
 
     def __init__(self) -> None:
@@ -174,12 +179,13 @@ class StreamingWaveFronts(BatchObserver):
 
 @dataclass(frozen=True, eq=False)
 class StreamingInvariantSummary:
-    """Per-replica first violations of the three batch invariant checks.
+    """Per-replica first violations of the three Lemma 9 invariant checks.
 
     ``-1`` everywhere means the corresponding invariant held for the whole
-    run; otherwise the entry is the first violating round, matching the
-    row-major first violation the post-hoc ``check_*_batch`` functions
-    report.
+    run; otherwise the entry is the first violating round — the round the
+    single-trace ``check_*`` function reports on that replica's own trace.
+    The ``raise_if_*`` methods report the earliest violating round over all
+    replicas (the lowest replica index on ties).
 
     Attributes
     ----------
@@ -228,7 +234,7 @@ class StreamingInvariantSummary:
         return best_round, replica
 
     def raise_if_leaderless(self) -> None:
-        """Raise exactly as :func:`check_leader_always_exists_batch` would."""
+        """Raise on the earliest leaderless round (Lemma 9), naming the replica."""
         first = self._first(self.first_leaderless_round)
         if first is not None:
             round_index, replica = first
@@ -238,7 +244,7 @@ class StreamingInvariantSummary:
             )
 
     def raise_if_increase(self) -> None:
-        """Raise exactly as :func:`check_leader_count_nonincreasing_batch` would."""
+        """Raise on the earliest leader-count increase, naming the replica."""
         first = self._first(self.first_increase_round)
         if first is not None:
             round_index, replica = first
@@ -250,7 +256,8 @@ class StreamingInvariantSummary:
             )
 
     def raise_if_max_beep_violation(self) -> None:
-        """Raise exactly as :func:`check_max_beep_count_is_leader_batch` would."""
+        """Raise on the earliest round where no leader has a maximal beep
+        count (Lemma 9's proof invariant), naming the replica."""
         first = self._first(self.first_max_beep_violation_round)
         if first is not None:
             round_index, replica = first
@@ -260,7 +267,7 @@ class StreamingInvariantSummary:
             )
 
     def raise_if_violated(self) -> None:
-        """Run all three checks in the post-hoc order, raising on the first."""
+        """Run the three checks in the order above, raising on the first."""
         self.raise_if_leaderless()
         self.raise_if_increase()
         self.raise_if_max_beep_violation()
@@ -269,15 +276,8 @@ class StreamingInvariantSummary:
         if not isinstance(other, StreamingInvariantSummary):
             return NotImplemented
         return all(
-            bool(np.array_equal(getattr(self, name), getattr(other, name)))
-            for name in (
-                "first_leaderless_round",
-                "first_increase_round",
-                "first_increase_from",
-                "first_increase_to",
-                "first_max_beep_violation_round",
-                "rounds_observed",
-            )
+            bool(np.array_equal(getattr(self, f.name), getattr(other, f.name)))
+            for f in fields(self)
         )
 
     def __hash__(self) -> int:
@@ -285,7 +285,7 @@ class StreamingInvariantSummary:
 
 
 class StreamingInvariantChecker(BatchObserver):
-    """Online form of the three batch invariant checks, without the trace.
+    """Online form of the three Lemma 9 invariant checks, without the trace.
 
     Folds Lemma 9 (a leader always exists), the non-increasing leader count
     and Lemma 9's proof invariant (some maximal-beep-count node is a leader)
@@ -395,80 +395,19 @@ class StreamingInvariantChecker(BatchObserver):
         if not summaries:
             raise ConfigurationError("cannot merge 0 invariant summaries")
         return StreamingInvariantSummary(
-            first_leaderless_round=np.concatenate(
-                [s.first_leaderless_round for s in summaries]
-            ),
-            first_increase_round=np.concatenate(
-                [s.first_increase_round for s in summaries]
-            ),
-            first_increase_from=np.concatenate(
-                [s.first_increase_from for s in summaries]
-            ),
-            first_increase_to=np.concatenate(
-                [s.first_increase_to for s in summaries]
-            ),
-            first_max_beep_violation_round=np.concatenate(
-                [s.first_max_beep_violation_round for s in summaries]
-            ),
-            rounds_observed=np.concatenate(
-                [s.rounds_observed for s in summaries]
-            ),
+            **{
+                f.name: np.concatenate([getattr(s, f.name) for s in summaries])
+                for f in fields(StreamingInvariantSummary)
+            }
         )
 
 
-class StreamingBeepTotals(BatchObserver):
-    """Online final beep counts: ``N^beep`` at each replica's last live round.
-
-    Equals row ``rounds_executed[r]`` of replica ``r``'s post-hoc
-    ``beep_count_matrix_batch`` column (the full matrix keeps accumulating
-    over frozen rows past retirement, which is exactly what the active-mask
-    accumulation here excludes).
-    """
-
-    def __init__(self) -> None:
-        self._counts: Optional[np.ndarray] = None
-
-    def on_start(self, info: BatchRunInfo) -> None:
-        # Accumulated in int32 (half the memory traffic per round); totals
-        # are bounded by the round budget, far below the int32 ceiling.
-        self._counts = np.zeros((info.num_replicas, info.n), dtype=np.int32)
-
-    def on_round(
-        self,
-        round_index: int,
-        states: Optional[np.ndarray],
-        beeping: Optional[np.ndarray],
-        leaders: np.ndarray,
-        active_mask: np.ndarray,
-    ) -> None:
-        if self._counts is None:
-            raise SimulationError("StreamingBeepTotals.on_round before on_start")
-        beeping = _require_constant_state(beeping, "beep-total streaming")
-        active = np.asarray(active_mask, dtype=bool)
-        if active.all():
-            self._counts += beeping
-        else:
-            np.add(
-                self._counts, beeping, out=self._counts, where=active[:, None]
-            )
-
-    def result(self) -> np.ndarray:
-        if self._counts is None:
-            raise SimulationError("no rounds observed yet")
-        return self._counts.astype(np.int64)
-
-    @classmethod
-    def merge_results(cls, results: Sequence[object]) -> np.ndarray:
-        return np.vstack([np.asarray(result) for result in results])
-
-
 class StreamingConvergence(BatchObserver):
-    """Online ``summarize_batch``: one :class:`ConvergenceSummary` per replica.
+    """Online ``summarize_trace``: one :class:`ConvergenceSummary` per replica.
 
     Tracks the round-0 leader count, the last live non-single-leader round,
     the final leader count and the final leader row — everything the
-    post-hoc summary derives from the ``(T + 1, R)`` count matrix — in
-    ``O(R · n)`` state.
+    summary derives from a replica's leader counts — in ``O(R · n)`` state.
     """
 
     def __init__(self) -> None:
@@ -560,7 +499,7 @@ STREAMING_KINDS = {
     "streaming-first-beep": StreamingFirstBeep,
     "streaming-wave-fronts": StreamingWaveFronts,
     "streaming-invariants": StreamingInvariantChecker,
-    "streaming-beep-totals": StreamingBeepTotals,
+    "streaming-beep-totals": BatchBeepCountTracker,
     "streaming-convergence": StreamingConvergence,
 }
 

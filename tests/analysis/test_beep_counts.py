@@ -58,10 +58,12 @@ def test_leader_beep_counts_contains_surviving_leader(converged_path_trace):
     assert count == converged_path_trace.beep_counts().max()
 
 
-def test_beep_count_matrix_batch_matches_per_replica(cycle_batch_trace):
-    from repro.analysis.beep_counts import beep_count_matrix_batch
+def test_replayed_beep_count_history_matches_per_replica(cycle_batch_trace):
+    from repro.batch import BatchBeepCountTracker
 
-    matrix = beep_count_matrix_batch(cycle_batch_trace)
+    tracker = BatchBeepCountTracker(keep_history=True)
+    totals = cycle_batch_trace.replay(tracker)
+    matrix = np.stack(tracker.history)
     assert matrix.shape == (
         cycle_batch_trace.num_rounds + 1,
         cycle_batch_trace.num_replicas,
@@ -72,4 +74,7 @@ def test_beep_count_matrix_batch_matches_per_replica(cycle_batch_trace):
         np.testing.assert_array_equal(
             matrix[: last + 1, replica],
             beep_count_matrix(cycle_batch_trace.replica(replica)),
+        )
+        np.testing.assert_array_equal(
+            totals[replica], beep_count_matrix(cycle_batch_trace.replica(replica))[-1]
         )

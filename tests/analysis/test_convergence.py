@@ -68,14 +68,14 @@ def test_half_life_round_before_convergence(converged_path_trace):
 
 
 # --------------------------------------------------------------------------- #
-# Batch entry points
+# Batch traces: the replayed streaming reducer
 # --------------------------------------------------------------------------- #
 
 
-def test_summarize_batch_matches_per_replica(cycle_batch_trace):
-    from repro.analysis.convergence import summarize_batch
+def test_replayed_convergence_matches_per_replica(cycle_batch_trace):
+    from repro.telemetry import StreamingConvergence
 
-    summaries = summarize_batch(cycle_batch_trace)
+    summaries = cycle_batch_trace.replay(StreamingConvergence())
     assert len(summaries) == cycle_batch_trace.num_replicas
     for replica, summary in enumerate(summaries):
         assert summary == summarize_trace(cycle_batch_trace.replica(replica))
@@ -83,9 +83,9 @@ def test_summarize_batch_matches_per_replica(cycle_batch_trace):
         assert summary.winner is not None
 
 
-def test_summarize_batch_without_early_stop(small_cycle, bfw):
-    from repro.analysis.convergence import summarize_batch
+def test_replayed_convergence_without_early_stop(small_cycle, bfw):
     from repro.batch import BatchedEngine, BatchTraceRecorder
+    from repro.telemetry import StreamingConvergence
 
     recorder = BatchTraceRecorder()
     BatchedEngine(small_cycle, bfw).run(
@@ -95,6 +95,6 @@ def test_summarize_batch_without_early_stop(small_cycle, bfw):
         observers=[recorder],
     )
     trace = recorder.trace()
-    for replica, summary in enumerate(summarize_batch(trace)):
+    for replica, summary in enumerate(trace.replay(StreamingConvergence())):
         assert summary == summarize_trace(trace.replica(replica))
         assert summary.rounds_executed == 40

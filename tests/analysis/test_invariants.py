@@ -147,64 +147,86 @@ def test_online_checker_collects_without_raising():
 
 
 # --------------------------------------------------------------------------- #
-# Batch entry points
+# Batch traces: the replayed streaming checker
 # --------------------------------------------------------------------------- #
 
 
-def test_batch_invariants_hold_on_static_batches(cycle_batch_trace):
-    from repro.analysis.invariants import (
-        check_leader_always_exists_batch,
-        check_leader_count_nonincreasing_batch,
-        check_max_beep_count_is_leader_batch,
+def _replay_checker(trace):
+    from repro.telemetry import StreamingInvariantChecker
+
+    return trace.replay(StreamingInvariantChecker())
+
+
+def _hand_built_trace(states, rounds_executed):
+    from repro.batch.trace import BatchTrace
+
+    return BatchTrace(
+        states=states,
+        rounds_executed=np.array(rounds_executed),
+        beeping_values=(int(State.B_LEADER), int(State.B_FOLLOWER)),
+        leader_values=tuple(int(s) for s in State if s.is_leader),
     )
 
-    check_leader_always_exists_batch(cycle_batch_trace)
-    check_leader_count_nonincreasing_batch(cycle_batch_trace)
-    check_max_beep_count_is_leader_batch(cycle_batch_trace)
+
+def test_batch_invariants_hold_on_static_batches(cycle_batch_trace):
+    summary = _replay_checker(cycle_batch_trace)
+    assert summary.ok
+    summary.raise_if_violated()  # must not raise
 
 
 def test_batch_leader_exists_check_flags_leaderless_rounds():
-    from repro.analysis.invariants import check_leader_always_exists_batch
-    from repro.batch.trace import BatchTrace
-    from repro.core.states import State
-
     leader = int(State.W_LEADER)
     follower = int(State.W_FOLLOWER)
     states = np.full((3, 2, 4), leader, dtype=np.int8)
     states[2, 1, :] = follower  # replica 1 loses every leader in round 2
-    trace = BatchTrace(
-        states=states,
-        rounds_executed=np.array([2, 2]),
-        beeping_values=(int(State.B_LEADER), int(State.B_FOLLOWER)),
-        leader_values=tuple(int(s) for s in State if s.is_leader),
-    )
+    trace = _hand_built_trace(states, [2, 2])
     with pytest.raises(InvariantViolation, match="round 2 of replica 1"):
-        check_leader_always_exists_batch(trace)
+        _replay_checker(trace).raise_if_leaderless()
     # The same rows past retirement are frozen and must not be flagged.
-    clipped = BatchTrace(
-        states=states,
-        rounds_executed=np.array([2, 1]),
-        beeping_values=trace.beeping_values,
-        leader_values=trace.leader_values,
-    )
-    check_leader_always_exists_batch(clipped)
+    clipped = _hand_built_trace(states, [2, 1])
+    _replay_checker(clipped).raise_if_leaderless()
 
 
 def test_batch_nonincreasing_check_flags_increases():
-    from repro.analysis.invariants import check_leader_count_nonincreasing_batch
-    from repro.batch.trace import BatchTrace
-    from repro.core.states import State
-
     leader = int(State.W_LEADER)
     follower = int(State.W_FOLLOWER)
     states = np.full((2, 1, 3), follower, dtype=np.int8)
     states[0, 0, 0] = leader
     states[1, 0, :2] = leader  # 1 -> 2 leaders
-    trace = BatchTrace(
-        states=states,
-        rounds_executed=np.array([1]),
-        beeping_values=(int(State.B_LEADER), int(State.B_FOLLOWER)),
-        leader_values=tuple(int(s) for s in State if s.is_leader),
-    )
+    trace = _hand_built_trace(states, [1])
     with pytest.raises(InvariantViolation, match="increased"):
-        check_leader_count_nonincreasing_batch(trace)
+        _replay_checker(trace).raise_if_increase()
+
+
+def test_batch_violation_messages_word_for_word():
+    # Each invariant broken once, so every message is pinned exactly:
+    # replica 0 grows from 1 to 2 leaders in round 1 and loses them all in
+    # round 2; replica 1's only beeper (node 1, round 1) is not a leader.
+    W_LEADER, W_FOLLOWER, B_FOLLOWER = (
+        int(State.W_LEADER),
+        int(State.W_FOLLOWER),
+        int(State.B_FOLLOWER),
+    )
+    states = np.full((4, 2, 3), W_FOLLOWER, dtype=np.int8)
+    states[:, :, 0] = W_LEADER
+    states[1:, 0, 1] = W_LEADER
+    states[2:, 0, :] = W_FOLLOWER
+    states[1, 1, 1] = B_FOLLOWER
+    summary = _replay_checker(_hand_built_trace(states, [3, 3]))
+    messages = []
+    for raiser in (
+        summary.raise_if_leaderless,
+        summary.raise_if_increase,
+        summary.raise_if_max_beep_violation,
+    ):
+        with pytest.raises(InvariantViolation) as excinfo:
+            raiser()
+        messages.append(str(excinfo.value))
+    assert messages == [
+        "Lemma 9 violated: no leader in round 2 of replica 0",
+        "leader count increased from 1 to 2 between rounds 0 and 1 of replica 0",
+        "proof invariant of Lemma 9 violated at round 1 of replica 1: "
+        "no leader has the maximal beep count",
+    ]
+    with pytest.raises(InvariantViolation, match=messages[0]):
+        summary.raise_if_violated()

@@ -100,14 +100,14 @@ def test_count_waves_on_path_single_leader():
 
 
 # --------------------------------------------------------------------------- #
-# Batch entry points
+# Batch traces: replayed streaming reducers
 # --------------------------------------------------------------------------- #
 
 
-def test_first_beep_round_batch_matches_per_replica(cycle_batch_trace):
-    from repro.analysis.waves import first_beep_round_batch
+def test_replayed_first_beep_matches_per_replica(cycle_batch_trace):
+    from repro.telemetry import StreamingFirstBeep
 
-    firsts = first_beep_round_batch(cycle_batch_trace)
+    firsts = cycle_batch_trace.replay(StreamingFirstBeep())
     assert firsts.shape == (cycle_batch_trace.num_replicas, cycle_batch_trace.n)
     for replica in range(cycle_batch_trace.num_replicas):
         np.testing.assert_array_equal(
@@ -115,10 +115,10 @@ def test_first_beep_round_batch_matches_per_replica(cycle_batch_trace):
         )
 
 
-def test_wave_fronts_batch_matches_per_replica(cycle_batch_trace):
-    from repro.analysis.waves import wave_fronts_batch
+def test_replayed_wave_fronts_match_per_replica(cycle_batch_trace):
+    from repro.telemetry import StreamingWaveFronts
 
-    fronts = wave_fronts_batch(cycle_batch_trace)
+    fronts = cycle_batch_trace.replay(StreamingWaveFronts())
     assert len(fronts) == cycle_batch_trace.num_replicas
     for replica in range(cycle_batch_trace.num_replicas):
         assert fronts[replica] == wave_fronts(cycle_batch_trace.replica(replica))

@@ -166,6 +166,52 @@ def test_batch_trace_round_trips_through_pickle_and_eq():
     assert not (trace == BatchTrace.from_traces(trace.to_traces()[:2]))
 
 
+class _HookLog(BatchObserver):
+    """Logs every hook call with what it saw (states, masks, replicas)."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_start(self, info):
+        self.log.append(("start", info))
+
+    def on_round(self, round_index, states, beeping, leaders, active_mask):
+        self.log.append(
+            (
+                "round",
+                round_index,
+                states.astype(np.int8).tobytes(),  # engines pass int64
+                beeping.tobytes(),
+                leaders.tobytes(),
+                tuple(np.flatnonzero(active_mask)),
+            )
+        )
+
+    def on_retire(self, replicas, round_index):
+        self.log.append(("retire", round_index, tuple(int(r) for r in replicas)))
+
+    def on_finish(self, rounds_executed):
+        self.log.append(("finish", tuple(int(r) for r in rounds_executed)))
+
+    def result(self):
+        return self.log
+
+
+def test_replay_drives_the_engines_hook_sequence():
+    # Replaying a recorded trace repeats the live run's hooks exactly,
+    # except the retirements of the final row: there a trace cannot tell a
+    # stop from an exhausted budget, so replay retires nobody.
+    recorder, live = BatchTraceRecorder(), _HookLog()
+    _run_with([recorder, live], n=16, seeds=range(6))
+    trace = recorder.trace()
+    assert len(set(trace.rounds_executed.tolist())) > 2  # ragged retirements
+    last = trace.num_rounds
+    expected = [
+        entry for entry in live.log if entry[:2] != ("retire", last)
+    ]
+    assert trace.replay(_HookLog()) == expected
+
+
 def test_batch_trace_leader_counts_match_batch_result():
     recorder = BatchTraceRecorder()
     result = _run_with([recorder], record_leader_counts=True)

@@ -119,6 +119,15 @@ def test_planted_leaders_negative_index_wraps():
     assert sequential.to_records() == batched.to_records()
 
 
+@pytest.mark.parametrize("planted", [(9,), (99,), (-10,), (0, 12)])
+def test_planted_leaders_outside_the_node_range_are_refused(planted):
+    # Indices must lie in [-n, n); they used to wrap silently (99 -> 0).
+    cell = _cell(graph=GraphSpec(family="path", n=9), planted_leaders=planted)
+    for execute in (execute_cell_sequential, execute_cell_batched):
+        with pytest.raises(ConfigurationError, match="planted_leaders"):
+            execute(cell)
+
+
 def test_planted_leaders_reject_memory_protocols():
     cell = _cell(
         protocol=ProtocolSpecConfig(name="emek-keren"),

@@ -213,6 +213,14 @@ def test_sharded_parity_all_observer_kinds(tmp_path):
     cells = (make_cell(num_seeds=5, master_seed=71, observers=specs),)
     assert_sharded_parity("batched", cells=cells, shard_sizes=(1, 2, 5, 12))
     assert_sharded_parity("sequential", cells=cells, shard_sizes=(2,))
+    # "streaming-beep-totals" is the "beep-counts" tracker under its
+    # streaming name: the two observations are the same bytes.
+    for backend in ("batched", "sequential"):
+        outcome = resolve_backend(backend).run_cell_outcomes(cells)[0]
+        counts, totals = outcome.observations[2], outcome.observations[7]
+        assert counts.dtype == totals.dtype == np.int64
+        assert counts.shape == totals.shape
+        assert counts.tobytes() == totals.tobytes()
 
 
 def test_sharded_parity_spilling_cells(tmp_path):

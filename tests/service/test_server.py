@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.exec import SequentialBackend
+from repro.experiments.config import GraphSpec
 from repro.service import ServiceBackend, ServiceClient
 from repro.service.wire import cells_to_payload
 
@@ -110,6 +111,8 @@ def test_unknown_route_is_404(service):
         b"[1, 2]",
         b'{"cells": []}',
         b'{"cells": [{"graph": {}}]}',
+        b'{"cells": [{"protocol": {"name": "bfw"}, '
+        b'"graph": {"family": "cycle", "n": [1]}, "seeds": [1]}]}',
     ],
 )
 def test_malformed_submissions_are_400(service, body):
@@ -126,6 +129,48 @@ def test_malformed_submissions_are_400(service, body):
         assert "error" in json.loads(error.read())
     else:  # pragma: no cover
         pytest.fail("expected HTTP 400")
+
+
+def _submit_spec(service, field, value):
+    """``submit_payload`` of one small cycle(8) cell with ``field`` set."""
+    spec = cells_to_payload([make_cell(graph=GraphSpec(family="cycle", n=8))])[0]
+    section, _, key = field.rpartition(".")
+    (spec[section] if section else spec)[key] = value
+    return service.submit_payload(json.dumps({"cells": [spec]}).encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seeds", [1.5]),  # used to run as seed 1
+        ("seeds", [[1]]),  # used to be a 500
+        ("seeds", [True]),
+        ("graph.n", [1]),  # used to be a 500
+        ("graph.n", "x"),  # used to be a 400 naming no field
+        ("graph.n", 8.0),
+        ("graph.seed", 2.5),
+        ("max_rounds", 100.5),
+        ("max_rounds", False),
+        ("planted_leaders", [0.5]),
+        ("planted_leaders", 3),
+    ],
+)
+def test_non_integer_cell_fields_are_refused_by_name(service, field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        _submit_spec(service, field, value)
+    assert service.list_sweeps() == {"sweeps": []}  # nothing was registered
+
+
+@pytest.mark.parametrize("planted", [[99], [8], [-9], [0, 12]])
+def test_out_of_range_planted_leaders_are_refused(service, planted):
+    # Indices must lie in [-n, n): 99 on cycle(8) used to wrap to node 3.
+    with pytest.raises(ConfigurationError, match="planted_leaders"):
+        _submit_spec(service, "planted_leaders", planted)
+
+
+def test_in_range_planted_leaders_are_accepted(service):
+    receipt = _submit_spec(service, "planted_leaders", [0, -1])
+    assert receipt["cells"] == 1
 
 
 @pytest.mark.parametrize("kernel", ["xp:numpy", "xp:bogus", "fortran"])

@@ -35,7 +35,6 @@ def test_analysis_reexports_streaming_reducers_lazily():
 
     listed = dir(analysis)
     for name in (
-        "StreamingBeepTotals",
         "StreamingConvergence",
         "StreamingFirstBeep",
         "StreamingInvariantChecker",

@@ -1,32 +1,38 @@
-"""Streaming reducers vs their post-hoc counterparts: exact equality.
+"""Streaming reducers vs the single-trace analysis functions: exact equality.
 
 The tentpole contract of the telemetry layer: every ``Streaming*`` observer
-folds its reduction online and produces a result *bit-equal* to the batch
-analysis function applied to the full recorded :class:`BatchTrace` — for
-every registered protocol, on static and dynamic schedules, including the
-budget-exhaustion (no early stop) path.
+folds its reduction online and produces, for every replica, a result
+*bit-equal* to the single-trace analysis function applied to that replica's
+own recorded trace — for every registered protocol, on static and dynamic
+schedules, including the budget-exhaustion (no early stop) path.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    check_leader_always_exists_batch,
-    check_leader_count_nonincreasing_batch,
-    check_max_beep_count_is_leader_batch,
-    beep_count_matrix_batch,
-    first_beep_round_batch,
-    summarize_batch,
-    wave_fronts_batch,
+    beep_count_matrix,
+    check_leader_always_exists,
+    check_leader_count_nonincreasing,
+    check_max_beep_count_is_leader,
+    first_beep_round,
+    summarize_trace,
+    wave_fronts,
 )
-from repro.batch import BatchTrace, BatchedEngine, BatchTraceRecorder
+from repro.batch import (
+    BatchBeepCountTracker,
+    BatchTrace,
+    BatchedEngine,
+    BatchTraceRecorder,
+)
 from repro.beeping.engine import VectorizedEngine
 from repro.core.bfw import BFWProtocol
 from repro.core.registry import available_protocols, create_protocol
 from repro.dynamics import build_schedule
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.telemetry import (
-    StreamingBeepTotals,
     StreamingConvergence,
     StreamingFirstBeep,
     StreamingInvariantChecker,
@@ -40,10 +46,11 @@ from tests.batch.parity_harness import (
 
 SEEDS = tuple(range(4))
 
-POST_HOC_CHECKS = (
-    check_leader_always_exists_batch,
-    check_leader_count_nonincreasing_batch,
-    check_max_beep_count_is_leader_batch,
+#: The single-trace Lemma 9 checks, in ``raise_if_violated`` order.
+LEMMA9_CHECKS = (
+    check_leader_always_exists,
+    check_leader_count_nonincreasing,
+    check_max_beep_count_is_leader,
 )
 
 
@@ -55,16 +62,35 @@ def _violation_message(callback) -> "str | None":
     return None
 
 
-def _run_with_streams(topology, protocol, seeds=SEEDS, spec=None, **run_kwargs):
-    """One batched run driving the trace recorder and every streaming reducer."""
-    recorder = BatchTraceRecorder()
-    streams = {
+def _numbers(message: "str | None") -> "tuple[int, ...]":
+    """The integers a check's message names (empty: the check held).
+
+    The violating round is always the last one; the increase check names
+    the two leader counts first.
+    """
+    if message is None:
+        return ()
+    return tuple(int(number) for number in re.findall(r"\d+", message))
+
+
+def _reference_numbers(check, replica) -> "tuple[int, ...]":
+    return _numbers(_violation_message(lambda: check(replica)))
+
+
+def _streams():
+    return {
         "first-beep": StreamingFirstBeep(),
         "wave-fronts": StreamingWaveFronts(),
         "invariants": StreamingInvariantChecker(),
-        "beep-totals": StreamingBeepTotals(),
+        "beep-totals": BatchBeepCountTracker(),
         "convergence": StreamingConvergence(),
     }
+
+
+def _run_with_streams(topology, protocol, seeds=SEEDS, spec=None, **run_kwargs):
+    """One batched run driving the trace recorder and every streaming reducer."""
+    recorder = BatchTraceRecorder()
+    streams = _streams()
     schedule = None if spec is None else build_schedule(spec, topology)
     BatchedEngine(topology, protocol, schedule=schedule).run(
         list(seeds),
@@ -74,36 +100,48 @@ def _run_with_streams(topology, protocol, seeds=SEEDS, spec=None, **run_kwargs):
     return recorder.trace(), streams
 
 
+def assert_summary_matches_references(trace: BatchTrace, summary) -> None:
+    """Per replica, the streamed first violations are the rounds (and, for
+    an increase, the counts) the single-trace checks report."""
+    np.testing.assert_array_equal(summary.rounds_observed, trace.rounds_executed)
+    firsts = (
+        summary.first_leaderless_round,
+        summary.first_increase_round,
+        summary.first_max_beep_violation_round,
+    )
+    for index, replica in enumerate(trace.to_traces()):
+        for check, first in zip(LEMMA9_CHECKS, firsts):
+            reported = _reference_numbers(check, replica)
+            assert int(first[index]) == (reported[-1] if reported else -1)
+        increase = _reference_numbers(check_leader_count_nonincreasing, replica)
+        if increase:
+            assert int(summary.first_increase_from[index]) == increase[0]
+            assert int(summary.first_increase_to[index]) == increase[1]
+
+
 def assert_stream_results_match_post_hoc(trace: BatchTrace, results) -> None:
-    """Streamed reduction *values* equal their post-hoc counterparts on ``trace``.
+    """Streamed reduction *values* equal the per-replica single-trace
+    references on ``trace``.
 
     ``results`` maps the short reducer key (``"first-beep"`` ...) to the
     value the reducer produced — either ``observer.result()`` or the merged
     observation an execution backend shipped back.
     """
-    np.testing.assert_array_equal(
-        results["first-beep"], first_beep_round_batch(trace)
-    )
-    assert results["wave-fronts"] == wave_fronts_batch(trace)
-    assert results["convergence"] == summarize_batch(trace)
-
-    matrix = beep_count_matrix_batch(trace)
-    totals = results["beep-totals"]
-    for replica in range(trace.num_replicas):
-        last = int(trace.rounds_executed[replica])
-        np.testing.assert_array_equal(totals[replica], matrix[last, replica])
-
-    summary = results["invariants"]
-    np.testing.assert_array_equal(summary.rounds_observed, trace.rounds_executed)
-    streamed_raises = (
-        summary.raise_if_leaderless,
-        summary.raise_if_increase,
-        summary.raise_if_max_beep_violation,
-    )
-    for check, raiser in zip(POST_HOC_CHECKS, streamed_raises):
-        assert _violation_message(raiser) == _violation_message(
-            lambda check=check: check(trace)
+    num_replicas = trace.num_replicas
+    assert results["first-beep"].shape == (num_replicas, trace.n)
+    assert results["beep-totals"].shape == (num_replicas, trace.n)
+    assert len(results["wave-fronts"]) == num_replicas
+    assert len(results["convergence"]) == num_replicas
+    for index, replica in enumerate(trace.to_traces()):
+        np.testing.assert_array_equal(
+            results["first-beep"][index], first_beep_round(replica)
         )
+        assert results["wave-fronts"][index] == wave_fronts(replica)
+        assert results["convergence"][index] == summarize_trace(replica)
+        np.testing.assert_array_equal(
+            results["beep-totals"][index], beep_count_matrix(replica)[-1]
+        )
+    assert_summary_matches_references(trace, results["invariants"])
 
 
 def assert_streams_match_post_hoc(trace: BatchTrace, streams) -> None:
@@ -149,13 +187,7 @@ def test_streams_match_post_hoc_without_early_stopping(small_cycle, bfw):
 
 def test_streams_match_post_hoc_on_vectorized_engine(small_path, bfw):
     # The R = 1 driver: the vectorised engine feeds the same hooks.
-    streams = {
-        "first-beep": StreamingFirstBeep(),
-        "wave-fronts": StreamingWaveFronts(),
-        "invariants": StreamingInvariantChecker(),
-        "beep-totals": StreamingBeepTotals(),
-        "convergence": StreamingConvergence(),
-    }
+    streams = _streams()
     result = VectorizedEngine(small_path, bfw).run(
         rng=3, record_trace=True, max_rounds=20_000, observers=list(streams.values())
     )
@@ -178,30 +210,8 @@ def test_streaming_reducers_reject_memory_engines(small_cycle):
 
 
 # --------------------------------------------------------------------------- #
-# Invariant violations: streamed messages == post-hoc messages, exactly
+# Invariant violations: replayed summaries == single-trace checks, exactly
 # --------------------------------------------------------------------------- #
-
-
-def _drive_checker(trace: BatchTrace) -> "StreamingInvariantChecker":
-    """Feed a trace through the streaming checker, row for row."""
-    from repro.batch.observers import BatchRunInfo
-
-    checker = StreamingInvariantChecker()
-    checker.on_start(
-        BatchRunInfo(
-            num_replicas=trace.num_replicas,
-            n=trace.n,
-            beeping_values=trace.beeping_values,
-            leader_values=trace.leader_values,
-        )
-    )
-    beeping = trace.beeping_history()
-    leaders = trace.leader_history()
-    valid = trace.valid_mask()
-    for t in range(trace.states.shape[0]):
-        checker.on_round(t, trace.states[t], beeping[t], leaders[t], valid[t])
-    checker.on_finish(trace.rounds_executed)
-    return checker
 
 
 def _random_violating_trace(seed: int) -> BatchTrace:
@@ -220,17 +230,32 @@ def _random_violating_trace(seed: int) -> BatchTrace:
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_streamed_violation_messages_equal_post_hoc(seed):
     trace = _random_violating_trace(seed)
-    summary = _drive_checker(trace).summary()
-    streamed_raises = (
+    summary = trace.replay(StreamingInvariantChecker())
+    assert_summary_matches_references(trace, summary)
+    # Each raised message is the single-trace message of the earliest
+    # violating replica (lowest index on ties), tagged with that replica.
+    messages = []
+    raisers = (
         summary.raise_if_leaderless,
         summary.raise_if_increase,
         summary.raise_if_max_beep_violation,
     )
-    messages = []
-    for check, raiser in zip(POST_HOC_CHECKS, streamed_raises):
-        expected = _violation_message(lambda check=check: check(trace))
-        assert _violation_message(raiser) == expected
-        messages.append(expected)
+    for check, raiser in zip(LEMMA9_CHECKS, raisers):
+        references = [
+            _violation_message(lambda replica=replica: check(replica))
+            for replica in trace.to_traces()
+        ]
+        streamed = _violation_message(raiser)
+        messages.append(streamed)
+        if streamed is None:
+            assert references == [None] * trace.num_replicas
+            continue
+        rounds = [_numbers(message)[-1] if message else None for message in references]
+        earliest = min(r for r in rounds if r is not None)
+        index = rounds.index(earliest)
+        tag = f" of replica {index}"
+        assert tag in streamed
+        assert streamed.replace(tag, "", 1) == references[index]
     # Random 4-valued states on 5 nodes make each violation overwhelmingly
     # likely; make sure the parametrisation is actually exercising them.
     assert any(message is not None for message in messages)
@@ -250,17 +275,17 @@ def test_streamed_summary_ok_on_clean_run(small_cycle, bfw):
     assert summary.ok
     assert summary.num_replicas == len(SEEDS)
     summary.raise_if_violated()  # must not raise
-    trace = recorder.trace()
-    for check in POST_HOC_CHECKS:
-        check(trace)  # post-hoc agrees: no violations
+    for replica in recorder.trace().to_traces():
+        for check in LEMMA9_CHECKS:
+            check(replica)  # the single-trace checks agree: no violations
 
 
 def test_invariant_summary_merge_round_trip():
     trace = _random_violating_trace(7)
-    whole = _drive_checker(trace).summary()
-    per_replica = []
-    for index in range(trace.num_replicas):
-        solo = BatchTrace.from_traces([trace.replica(index)])
-        per_replica.append(_drive_checker(solo).summary())
+    whole = trace.replay(StreamingInvariantChecker())
+    per_replica = [
+        BatchTrace.from_traces([replica]).replay(StreamingInvariantChecker())
+        for replica in trace.to_traces()
+    ]
     merged = StreamingInvariantChecker.merge_results(per_replica)
     assert merged == whole

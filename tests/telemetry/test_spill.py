@@ -13,12 +13,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import first_beep_round_batch, first_beep_round
+from repro.analysis import first_beep_round
 from repro.batch import BatchedEngine, BatchTraceRecorder
 from repro.core.bfw import BFWProtocol
 from repro.dynamics import ScheduleSpec, build_schedule
 from repro.errors import ConfigurationError, SimulationError, TraceError
-from repro.telemetry import SpilledTrace, SpillingTraceRecorder
+from repro.telemetry import SpilledTrace, SpillingTraceRecorder, StreamingFirstBeep
 
 from tests.batch.parity_harness import assert_same_trace
 
@@ -101,7 +101,7 @@ def test_out_of_core_analysis_replay(small_cycle, bfw, tmp_path):
     # analysis layer without rehydrating the whole history.
     batch, spiller = _record_both(small_cycle, bfw, tmp_path, max_rounds=20_000)
     spilled = spiller.trace()
-    expected = first_beep_round_batch(batch)
+    expected = batch.replay(StreamingFirstBeep())
     for replica in range(spilled.num_replicas):
         np.testing.assert_array_equal(
             first_beep_round(spilled.replica(replica)), expected[replica]
