@@ -69,6 +69,18 @@ replica-for-replica identical to the loop:
   CPU µs per round, best and median of several repetitions.  No gate;
   writes ``BENCH_round_ops.json``.
 
+* stream reads (E21): converged BFW on torus(32×32) at R = 256 on the
+  ``kernel="numpy"`` loop, the ``mc-torus`` shape, where a round reads a
+  uniform only for the few nodes whose transition is random — wall and
+  process CPU seconds, best and median of several repetitions, next to
+  the uniforms read by random access, the replica-rounds of uniforms
+  drawn whole and the blocks filled eagerly.  No gate.  Unlike the other
+  cases it keeps a committed ledger, ``BENCH_streams.json`` at the repo
+  root: one row per measured commit (``git describe --always --dirty`` of
+  the tree the imported ``repro`` comes from), replaced when that commit
+  is measured again.  Run this file against another tree's ``repro`` to
+  add that tree's row.
+
 Setting ``REPRO_BENCH_FAST=1`` shrinks every workload (small R and n) and
 skips the speed-up assertions; CI uses it as a smoke mode so these scripts
 cannot silently rot without turning CI red on timing noise.
@@ -76,7 +88,9 @@ cannot silently rot without turning CI red on timing noise.
 
 import json
 import os
+import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +124,9 @@ BENCH_SHARD_JSON = "BENCH_shard.json"
 BENCH_OBSERVABILITY_JSON = "BENCH_observability.json"
 BENCH_KERNEL_JSON = "BENCH_kernel.json"
 BENCH_ROUND_OPS_JSON = "BENCH_round_ops.json"
+
+#: E21's committed ledger, at the root of this file's tree.
+BENCH_STREAMS_JSON = Path(__file__).resolve().parents[1] / "BENCH_streams.json"
 
 #: Workers used by the process-backend sweep case.
 PROCESS_WORKERS = 2
@@ -1161,6 +1178,82 @@ def test_interpreted_round_cost(report):
     ]
     lines.append(f"json: {BENCH_ROUND_OPS_JSON}")
     report("E20 — interpreted round cost (kernel=numpy)", "\n".join(lines))
+
+
+@pytest.mark.experiment("E21")
+def test_stream_reads(report):
+    """Seconds and stream traffic of a converged ``mc-torus``-shaped run.
+
+    Appends (or replaces) the measured tree's row of the committed
+    ``BENCH_streams.json`` ledger.  The stream counters are ``None`` on
+    trees whose :class:`~repro.batch.streams.ReplicaStreams` does not
+    count them.
+    """
+    import numpy as np
+
+    import repro
+    from repro.batch.streams import ReplicaStreams
+    from repro.graphs.generators import torus_graph
+
+    side, replicas, repeats = _size(32, 8), _size(256, 16), _size(5, 1)
+    engine = BatchedEngine(torus_graph(side, side), BFWProtocol(), kernel="numpy")
+    seeds = list(range(replicas))
+    engine.run(seeds)  # warm-up: caches, jump tables and allocator
+    walls, cpus = [], []
+    for _ in range(repeats):
+        streams = ReplicaStreams(seeds)
+        cpu, wall, batch = _timed(lambda: engine.run(streams))
+        walls.append(wall)
+        cpus.append(cpu)
+    assert engine.last_kernel["active"] == "numpy"
+    assert batch.converged.all()
+
+    source = Path(repro.__file__).resolve().parent
+    described = subprocess.run(
+        ["git", "-C", str(source), "describe", "--always", "--dirty"],
+        capture_output=True,
+        text=True,
+    )
+    row = {
+        "commit": described.stdout.strip() or "unknown",
+        "fast_mode": FAST,
+        "graph": f"torus({side}x{side})",
+        "replicas": replicas,
+        "repeats": repeats,
+        "replica_rounds": int(batch.rounds_executed.sum()),
+        "wall_s_best": min(walls),
+        "wall_s_median": float(np.median(walls)),
+        "cpu_s_best": min(cpus),
+        "cpu_s_median": float(np.median(cpus)),
+        "uniforms_read": getattr(streams, "uniforms_read", None),
+        "rows_materialised": getattr(streams, "rows_materialised", None),
+        "eager_blocks": getattr(streams, "eager_blocks", None),
+    }
+    rows = []
+    if BENCH_STREAMS_JSON.exists():
+        rows = json.loads(BENCH_STREAMS_JSON.read_text(encoding="utf-8"))["rows"]
+    key = (row["commit"], FAST)
+    rows = [old for old in rows if (old["commit"], old["fast_mode"]) != key]
+    rows.append(row)
+    _write_bench_json(
+        BENCH_STREAMS_JSON,
+        {"benchmark": "stream-reads", "kernel": "numpy", "rows": rows},
+    )
+
+    report(
+        "E21 — stream reads (kernel=numpy)",
+        "\n".join(
+            [
+                f"{row['commit']}: {row['graph']} R={replicas} "
+                f"wall {row['wall_s_best']:.3f} s best "
+                f"({row['wall_s_median']:.3f} median)  "
+                f"cpu {row['cpu_s_best']:.3f} s best",
+                f"uniforms read {row['uniforms_read']}, rows materialised "
+                f"{row['rows_materialised']}, eager blocks {row['eager_blocks']}",
+                f"json: {BENCH_STREAMS_JSON.name}",
+            ]
+        ),
+    )
 
 
 @pytest.mark.experiment("E12")

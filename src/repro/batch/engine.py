@@ -18,9 +18,16 @@ the same code:
   deterministic successor table; a sentinel marks the codes whose
   transition is random (for BFW, only a waiting leader that hears
   nothing), and only those nodes read their uniform from the ``(R, n)``
-  per-round block — filled row by row from per-replica generator streams
-  so that each replica consumes exactly the randomness its standalone run
-  would.  Small blocks (:data:`SMALL_BLOCK_ELEMENTS`), where per-call
+  per-round block of per-replica generator streams, so that each replica
+  consumes exactly the randomness its standalone run would.  A block of
+  at least :data:`RANDOM_ACCESS_ELEMENTS` elements computes just those
+  uniforms by random access into the replicas' PCG64 streams
+  (:class:`~repro.batch.streams.StreamReader`), drawing a round's rows
+  whole only when :data:`DENSE_COIN_SHARE` of its nodes or more need one
+  (for BFW, round 1 from the all-leader start); a smaller block draws
+  each replica's whole block eagerly.  Either way every generator ends
+  where the eager draws leave it.  Small blocks
+  (:data:`SMALL_BLOCK_ELEMENTS`), where per-call
   overhead rather than data volume sets the cost, take one dense coin
   step with ``intp`` table gathers instead;
 * replicas that reach a single-leader configuration are retired: their
@@ -35,7 +42,8 @@ the same code:
 A run takes one of two round paths: the fused scalar kernel of
 :mod:`repro.batch.kernels` (compiled with numba when available), or the
 interpreted numpy loop, which serves every run that needs per-round Python
-callbacks.  Both consume the same uniform blocks, so replica ``r`` of a
+callbacks.  Both consume the same uniform blocks (the fused kernel always
+draws them eagerly), so replica ``r`` of a
 batch seeded with ``seeds[r]`` is bit for bit the one-replica run seeded
 the same way — same convergence round, same final leader, same
 leader-count trajectory.  The parity tests in ``tests/batch/`` check every
@@ -145,6 +153,23 @@ def hear_mask(beep_columns: np.ndarray, adjacency) -> np.ndarray:
 #: "Small-block crossover" grid records the measurements behind the
 #: constant.
 SMALL_BLOCK_ELEMENTS = 4096
+
+#: A large block's round resolves every node's coin, like a small block,
+#: once at least this share of its nodes has a random transition (for
+#: BFW, round 1 from the all-leader start); below it, only those nodes'
+#: coins are resolved.  Measured on BFW tables: at R = 256 on
+#: torus(32x32) the dense step costs ~2 ms a round whatever the share,
+#: the sparse one ~0.5 ms at 1%, ~2 ms at 20-30% and ~17 ms at 100%.
+DENSE_COIN_SHARE = 0.25
+
+#: The eager/random-access crossover: a block of at least this many
+#: elements reads its uniforms by random access into the replicas' streams
+#: (:meth:`~repro.batch.streams.ReplicaStreams.reader`); a smaller one
+#: draws each replica's whole block eagerly, because a random-access round
+#: has a fixed cost that a few active replicas' eager draws undercut.  The
+#: README's "Random-access crossover" grid records the measurements behind
+#: the constant.
+RANDOM_ACCESS_ELEMENTS = 32768
 
 
 def sized_block(encoded: np.ndarray) -> np.ndarray:
@@ -447,10 +472,9 @@ class BatchedEngine:
         seeds:
             One seed (or generator) per replica — replica ``r`` is, bit
             for bit, the one-replica run seeded with ``seeds[r]`` — or a
-            prebuilt :class:`ReplicaStreams`.  Generator objects may be
-            advanced up to a prefetch block past the rounds their replica
-            consumed (the results are unaffected; see
-            :class:`ReplicaStreams`).
+            prebuilt :class:`ReplicaStreams`.  Generator objects end the
+            run advanced by whole prefetch blocks, the same on every path
+            (see :class:`ReplicaStreams`).
         max_rounds:
             Shared round budget; defaults to :func:`default_round_budget`.
         initial_states:
@@ -605,93 +629,145 @@ class BatchedEngine:
             # block (see encode_protocol and the module docstring).
             tables = self._encoded
             encoded = sized_block(tables.encode.take(states[active].T))
+            # A block of RANDOM_ACCESS_ELEMENTS or more reads its uniforms
+            # by random access where its streams allow it (see
+            # StreamReader), a smaller one eagerly.
+            reader = (
+                streams.reader(active, n, depth)
+                if encoded.size >= RANDOM_ACCESS_ELEMENTS
+                else None
+            )
             rng_position = depth
             quiet = ledger.quiet
             pipeline = ledger.pipeline
             close_round = ledger.close_round
-            while round_index < max_rounds and active.size:
-                round_index += 1
-                if schedule is not None:
-                    observed = (
-                        (encoded[:, 0] >> 2).astype(np.intp)
-                        if schedule.state_aware
-                        else None
-                    )
-                    topology = schedule.topology_at(round_index, states=observed)
-                    if topology.n != n:
-                        raise ConfigurationError(
-                            f"schedule changed the node count to {topology.n} "
-                            f"in round {round_index}; expected {n}"
+            try:
+                while round_index < max_rounds and active.size:
+                    round_index += 1
+                    if schedule is not None:
+                        observed = (
+                            (encoded[:, 0] >> 2).astype(np.intp)
+                            if schedule.state_aware
+                            else None
                         )
-                    adjacency = self._adjacency_for(topology)
-                if rng_position == depth:
-                    streams.fill_blocks(active, rng_buffer)
-                    rng_position = 0
-                uniforms = rng_buffer[rng_position]
-                rng_position += 1
-                # One product for the whole batch over the replica columns:
-                # column j of the result is exactly what replica active[j]'s
-                # standalone run computes.  u >= p picks the secondary
-                # successor, exactly "not u < p" of the fused kernel.
-                if encoded.dtype == np.intp:
-                    # A small block (see sized_block): the fewest calls,
-                    # intp table gathers and one coin per node.
-                    heard = hear_mask(tables.beep_f32.take(encoded), adjacency)
-                    code = encoded + encoded
-                    code += heard
-                    if active.size < num_replicas:
-                        uniforms = uniforms[active]
-                    coins = uniforms.T >= tables.prob.take(code)
-                    code += code
-                    code += coins
-                    encoded = tables.coin.take(code)
-                    active_counts = np.add.reduce(
-                        tables.leader_ip.take(encoded), axis=0
-                    )
-                else:
-                    heard = hear_mask((encoded & 1).astype(np.float32), adjacency)
-                    # code = encoded << 1 | heard, as an add (uint8 shifts
-                    # are not vectorised) and an OR with the mask's bytes.
-                    code = np.add(encoded, encoded)
-                    code |= heard.view(np.uint8)
-                    # Deterministic successors in one lookup; only the nodes
-                    # whose transition is random (the hot sentinel) read a
-                    # uniform.
-                    encoded = tables.step_of(code)
-                    flat = np.flatnonzero(encoded == tables.hot)
-                    if flat.size:
-                        rows, cols = np.divmod(flat, encoded.shape[1])
-                        hot_code = code.ravel().take(flat).astype(np.intp)
-                        coins = uniforms[active.take(cols), rows] >= (
-                            tables.prob.take(hot_code)
+                        topology = schedule.topology_at(
+                            round_index, states=observed
                         )
-                        encoded.ravel()[flat] = tables.coin.take(
-                            2 * hot_code + coins
+                        if topology.n != n:
+                            raise ConfigurationError(
+                                f"schedule changed the node count to "
+                                f"{topology.n} in round {round_index}; "
+                                f"expected {n}"
+                            )
+                        adjacency = self._adjacency_for(topology)
+                    if rng_position == depth:
+                        if reader is None:
+                            streams.fill_blocks(active, rng_buffer)
+                        else:
+                            reader.begin_block(active)
+                        rng_position = 0
+                    uniforms = rng_buffer[rng_position]
+                    rng_position += 1
+                    # One product for the whole batch over the replica
+                    # columns: column j of the result is exactly what
+                    # replica active[j]'s standalone run computes.  u >= p
+                    # picks the secondary successor, exactly "not u < p" of
+                    # the fused kernel.
+                    block_dtype = encoded.dtype
+                    if block_dtype == np.intp:
+                        # A small block (see sized_block): the fewest calls,
+                        # intp table gathers and one coin per node.
+                        heard = hear_mask(tables.beep_f32.take(encoded), adjacency)
+                        code = encoded + encoded
+                        code += heard
+                        dense = True
+                    else:
+                        heard = hear_mask(
+                            (encoded & 1).astype(np.float32), adjacency
                         )
-                    active_counts = tables.leader_counts(encoded)
-                if quiet and not (active_counts == 1).any():
-                    continue
-                observed_round = None
-                if pipeline is not None:
-                    # Observers see the whole (R, n) batch, retired rows
-                    # frozen: decode the active columns into it.
-                    states[active] = (encoded >> 2).T
-                    observed_round = (
-                        states,
-                        compiled.is_beeping[states],
-                        is_leader[states],
+                        # code = encoded << 1 | heard, as an add (uint8
+                        # shifts are not vectorised) and an OR with the
+                        # mask's bytes.
+                        code = np.add(encoded, encoded)
+                        code |= heard.view(np.uint8)
+                        # Deterministic successors in one lookup; only the
+                        # nodes whose transition is random (the hot
+                        # sentinel) need a coin.
+                        encoded = tables.step_of(code)
+                        flat = np.flatnonzero(encoded == tables.hot)
+                        dense = flat.size >= DENSE_COIN_SHARE * encoded.size
+                        if dense:
+                            code = code.astype(np.intp)
+                        elif flat.size:
+                            rows, cols = np.divmod(flat, encoded.shape[1])
+                            if reader is not None:
+                                reader.read(
+                                    rng_position - 1, active, rows, cols, rng_buffer
+                                )
+                            hot_code = code.ravel().take(flat).astype(np.intp)
+                            coins = uniforms[active.take(cols), rows] >= (
+                                tables.prob.take(hot_code)
+                            )
+                            encoded.ravel()[flat] = tables.coin.take(
+                                2 * hot_code + coins
+                            )
+                    if dense:
+                        # Every node tosses its coin (a deterministic
+                        # transition ignores it): intp code -> successor.
+                        if reader is not None:
+                            reader.fill_rows(rng_position - 1, active, rng_buffer)
+                        if active.size < num_replicas:
+                            uniforms = uniforms[active]
+                        coins = uniforms.T >= tables.prob.take(code)
+                        code += code
+                        code += coins
+                        encoded = tables.coin.take(code).astype(
+                            block_dtype, copy=False
+                        )
+                    if block_dtype == np.intp:
+                        active_counts = np.add.reduce(
+                            tables.leader_ip.take(encoded), axis=0
+                        )
+                    else:
+                        active_counts = tables.leader_counts(encoded)
+                    if quiet and not (active_counts == 1).any():
+                        continue
+                    observed_round = None
+                    if pipeline is not None:
+                        # Observers see the whole (R, n) batch, retired rows
+                        # frozen: decode the active columns into it.
+                        states[active] = (encoded >> 2).T
+                        observed_round = (
+                            states,
+                            compiled.is_beeping[states],
+                            is_leader[states],
+                        )
+                    retire = close_round(
+                        round_index, active, active_counts, None, observed_round
                     )
-                retire = close_round(
-                    round_index, active, active_counts, None, observed_round
-                )
-                if retire is None:
-                    continue
-                # A retiring replica stops consuming randomness and work
-                # from here on, and its column leaves the encoded block.
-                states[active[retire]] = (encoded[:, retire] >> 2).T
-                keep = ~retire
-                encoded = sized_block(np.compress(keep, encoded, axis=1))
-                active = active[keep]
+                    if retire is None:
+                        continue
+                    # A retiring replica stops consuming randomness and work
+                    # from here on, and its column leaves the encoded block.
+                    states[active[retire]] = (encoded[:, retire] >> 2).T
+                    keep = ~retire
+                    encoded = sized_block(np.compress(keep, encoded, axis=1))
+                    active = active[keep]
+                    if (
+                        reader is not None
+                        and encoded.size < RANDOM_ACCESS_ELEMENTS
+                    ):
+                        # The block fell below the crossover: the rest of
+                        # this block is drawn now and later blocks are
+                        # filled eagerly.
+                        reader.fill_rows(rng_position, active, rng_buffer)
+                        reader.close()
+                        reader = None
+            finally:
+                # Every generator ends where eager fills leave it, even
+                # when an observer or a schedule raised mid-block.
+                if reader is not None:
+                    reader.close()
             states[active] = (encoded >> 2).T
 
         # What actually ran, for callers and telemetry: the resolved

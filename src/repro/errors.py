@@ -7,6 +7,8 @@ programming errors such as :class:`TypeError`.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
@@ -54,3 +56,12 @@ class ServiceError(ReproError):
     :class:`ConfigurationError`) into structured JSON error responses
     instead of stack traces.
     """
+
+
+def require_int(value: object, name: str) -> int:
+    """``value`` as an ``int``, or a :class:`ConfigurationError` naming
+    ``name``.  Python and numpy integers are accepted; bools, floats and
+    everything else are refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer; got {value!r}")
+    return int(value)

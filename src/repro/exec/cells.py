@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -63,7 +62,7 @@ from repro.batch.observers import (
 from repro.batch.results import BatchResult
 from repro.beeping.simulator import SimulationResult
 from repro.dynamics.schedules import ScheduleSpec, build_schedule
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.graphs.generators import make_graph
 from repro.graphs.topology import Topology
 
@@ -144,7 +143,11 @@ class ExecutionCell:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kernel", validate_kernel(self.kernel))
-        object.__setattr__(self, "seeds", tuple(int(seed) for seed in self.seeds))
+        object.__setattr__(
+            self,
+            "seeds",
+            tuple(require_int(seed, "cell seeds") for seed in self.seeds),
+        )
         if not self.seeds:
             raise ConfigurationError(
                 f"cell {self.label!r} needs at least one replica seed"
@@ -153,7 +156,14 @@ class ExecutionCell:
             object.__setattr__(
                 self,
                 "planted_leaders",
-                tuple(int(node) for node in self.planted_leaders),
+                tuple(
+                    require_int(node, "cell planted_leaders")
+                    for node in self.planted_leaders
+                ),
+            )
+        if self.max_rounds is not None:
+            object.__setattr__(
+                self, "max_rounds", require_int(self.max_rounds, "cell max_rounds")
             )
         if self.graph_rng_key is not None:
             object.__setattr__(self, "graph_rng_key", tuple(self.graph_rng_key))
@@ -248,22 +258,12 @@ def _spec_section(spec: Mapping[str, object], key: str, what: str) -> Mapping[st
     return value
 
 
-def _spec_int(value: object, name: str) -> int:
-    """``value`` as an ``int``; bools, floats and everything else are refused
-    (never truncated), with an error naming the spec field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(
-            f"cell spec {name} must be an integer; got {value!r}"
-        )
-    return int(value)
-
-
 def _spec_int_list(value: object, name: str) -> Tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigurationError(
             f"cell spec {name} must be a list of integers; got {value!r}"
         )
-    return tuple(_spec_int(item, name) for item in value)
+    return tuple(require_int(item, f"cell spec {name}") for item in value)
 
 
 def cell_from_spec(spec: Mapping[str, object]) -> ExecutionCell:
@@ -327,12 +327,14 @@ def cell_from_spec(spec: Mapping[str, object]) -> ExecutionCell:
         ),
         graph=GraphSpec(
             family=str(graph_spec["family"]),
-            n=_spec_int(graph_spec["n"], "graph.n"),
-            seed=_spec_int(graph_spec.get("seed", 0), "graph.seed"),
+            n=require_int(graph_spec["n"], "cell spec graph.n"),
+            seed=require_int(graph_spec.get("seed", 0), "cell spec graph.seed"),
         ),
         seeds=_spec_int_list(seeds, "seeds"),
         max_rounds=(
-            None if max_rounds is None else _spec_int(max_rounds, "max_rounds")
+            None
+            if max_rounds is None
+            else require_int(max_rounds, "cell spec max_rounds")
         ),
         planted_leaders=(
             None if planted is None else _spec_int_list(planted, "planted_leaders")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.graphs.generators import GRAPH_FAMILIES
 
 
@@ -34,6 +34,8 @@ class GraphSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", require_int(self.n, "graph size n"))
+        object.__setattr__(self, "seed", require_int(self.seed, "graph seed"))
         if self.family not in GRAPH_FAMILIES:
             raise ConfigurationError(
                 f"unknown graph family {self.family!r}; "

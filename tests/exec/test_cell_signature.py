@@ -8,6 +8,7 @@ seed *order* included — must change the hash.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.batch.observers import ObserverSpec
@@ -151,3 +152,61 @@ def test_cell_from_spec_names_the_offending_field(mutate, needle):
     with pytest.raises(ConfigurationError) as excinfo:
         cell_from_spec(spec)
     assert needle in str(excinfo.value)
+
+
+# --------------------------------------------------------------------------- #
+# In-process construction refuses what it would otherwise truncate
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "overrides, needle",
+    [
+        (dict(seeds=(1.5, 2)), "seeds"),
+        (dict(seeds=(1, True)), "seeds"),
+        (dict(planted_leaders=(0.9,)), "planted_leaders"),
+        (dict(planted_leaders=(False,)), "planted_leaders"),
+        (dict(max_rounds=12.0), "max_rounds"),
+    ],
+)
+def test_execution_cell_refuses_non_integer_fields(overrides, needle):
+    with pytest.raises(ConfigurationError) as excinfo:
+        _cell(**overrides)
+    assert needle in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        (dict(n=8.7), "size"),
+        (dict(n=True), "size"),
+        (dict(n=8, seed=0.5), "seed"),
+    ],
+)
+def test_graph_spec_refuses_non_integer_fields(fields, needle):
+    with pytest.raises(ConfigurationError) as excinfo:
+        GraphSpec(family="cycle", **fields)
+    assert needle in str(excinfo.value)
+
+
+def test_numpy_integers_are_accepted_and_stored_as_int():
+    cell = _cell(
+        graph=GraphSpec(family="cycle", n=np.int64(10), seed=np.uint8(3)),
+        seeds=(np.int32(1), np.int64(2)),
+        planted_leaders=(np.int16(-1),),
+        max_rounds=np.int64(50),
+    )
+    assert cell.seeds == (1, 2)
+    assert cell.planted_leaders == (-1,)
+    assert cell.max_rounds == 50
+    assert (cell.graph.n, cell.graph.seed) == (10, 3)
+    for value in (*cell.seeds, *cell.planted_leaders, cell.max_rounds, cell.graph.n):
+        assert type(value) is int
+    assert cell_signature(cell) == cell_signature(
+        _cell(
+            graph=GraphSpec(family="cycle", n=10, seed=3),
+            seeds=(1, 2),
+            planted_leaders=(-1,),
+            max_rounds=50,
+        )
+    )
